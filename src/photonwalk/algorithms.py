@@ -23,12 +23,10 @@ import numpy as np
 from .walk_core import (
     CLOSED_CYCLE,
     OPEN_LINE,
-    CoinParams,
     DimensionMismatch,
     Topology,
     WalkState,
     WalkStep,
-    build_coin,
     measure_joint,
     measure_position,
     program_operator,
@@ -47,7 +45,6 @@ LINE2 = Topology(OPEN_LINE, 2)
 # Vertex -> working-qubit label around the 4-cycle (Gray code, so a single
 # shift flips a single label bit).
 CYCLE_LABELS = ("00", "01", "11", "10")
-LABEL_TO_VERTEX = {lab: v for v, lab in enumerate(CYCLE_LABELS)}
 
 # Step tags consumed by the photonic compiler.
 TAG_PREP = "prep"
@@ -55,21 +52,13 @@ TAG_COIN_HADAMARD = "coin_hadamard"
 TAG_POSITION_HADAMARD = "position_hadamard"
 TAG_ORACLE = "oracle"
 
-# Coin alphabet.  Exact integer matrices; the angle tuples below reproduce
-# them through the general coin construction (verified in tests).
+# Coin alphabet: exact matrices.
 COIN_IDENTITY = np.eye(2)
 COIN_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 COIN_PHASE_FLIP_1 = np.diag([1.0, -1.0])   # phase on coin |1>
 COIN_PHASE_FLIP_0 = np.diag([-1.0, 1.0])   # phase on coin |0>
 COIN_NEG_IDENTITY = -np.eye(2)             # overall pi phase at one position
 COIN_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-
-X_COIN_PARAMS = CoinParams(-np.pi / 2, 0.0, np.pi / 2, np.pi / 2)
-# The q = +pi/2 sign is deliberate: it is the unique tuple in this family
-# whose coin equals the Hadamard matrix exactly.
-HADAMARD_COIN_PARAMS = CoinParams(-np.pi / 2, np.pi / 2, np.pi / 2, np.pi / 4)
-PHASE_FLIP_1_PARAMS = CoinParams(np.pi / 2, np.pi / 2, 0.0, np.pi)
-PHASE_FLIP_0_PARAMS = CoinParams(np.pi / 2, np.pi / 2, 0.0, 0.0)
 
 
 class PromiseViolation(Exception):
@@ -188,14 +177,6 @@ def build_oracle_no_aux(f: BooleanFn) -> Oracle:
     return Oracle(NO_AUX, (WalkStep(coin_map, tag=TAG_ORACLE),))
 
 
-def build_oracle(f: BooleanFn, scheme: str) -> Oracle:
-    if scheme == WITH_AUX:
-        return build_oracle_with_aux(f)
-    if scheme == NO_AUX:
-        return build_oracle_no_aux(f)
-    raise ValueError(f"unknown scheme: {scheme!r}")
-
-
 def reference_circuit_oracle(f: BooleanFn) -> np.ndarray:
     """Ground-truth standard oracle |x>|y> -> |x>|y xor f(x)> as a permutation."""
     dim = 2 ** (f.n + 1)
@@ -207,15 +188,15 @@ def reference_circuit_oracle(f: BooleanFn) -> np.ndarray:
 
 
 def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff a = e^{i phi} b, normalizing on the first nonzero entry."""
-    a = np.asarray(a, dtype=complex).ravel()
-    b = np.asarray(b, dtype=complex).ravel()
+    """True iff a = e^{i phi} b, taking the phase at a's largest entry."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
-    nz = np.flatnonzero(np.abs(a) > 1e-12)
-    if nz.size == 0:
+    a, b = a.ravel(), b.ravel()
+    i = int(np.argmax(np.abs(a)))
+    if abs(a[i]) <= 1e-12:
         return bool(np.max(np.abs(b)) <= tol)
-    i = nz[0]
     if abs(b[i]) <= 1e-12:
         return False
     phase = a[i] / b[i]

@@ -146,62 +146,58 @@ class PhotonState:
         return cls(n_modes, amps)
 
 
-def component_matrix(comp: Component, n_modes: int) -> np.ndarray:
-    """Full-space matrix of one component on polarization x modes."""
-    dim = 2 * n_modes
-    m = np.eye(dim, dtype=complex)
+def _apply_component(amps: np.ndarray, comp: Component) -> None:
+    """Apply one component in place to ``amps``, a (2, n_modes, ...) view."""
     if isinstance(comp, HWP):
-        j = hwp_jones(comp.angle)
-        a = comp.mode
-        for r in range(2):
-            for c in range(2):
-                m[r * n_modes + a, c * n_modes + a] = j[r, c]
-    elif isinstance(comp, BeamSplitter):
-        b = bs_matrix()
-        for pol in range(2):
-            ia, ib = pol * n_modes + comp.mode_a, pol * n_modes + comp.mode_b
-            m[ia, ia], m[ia, ib] = b[0, 0], b[0, 1]
-            m[ib, ia], m[ib, ib] = b[1, 0], b[1, 1]
+        amps[:, comp.mode] = hwp_jones(comp.angle) @ amps[:, comp.mode]
     elif isinstance(comp, PhaseShifter):
-        for pol in range(2):
-            i = pol * n_modes + comp.mode
-            m[i, i] = np.exp(1j * comp.phase)
+        amps[:, comp.mode] *= np.exp(1j * comp.phase)
+    elif isinstance(comp, BeamSplitter):
+        u = bs_matrix()
+        a, b = amps[:, comp.mode_a], amps[:, comp.mode_b]
+        amps[:, comp.mode_a], amps[:, comp.mode_b] = (
+            u[0, 0] * a + u[0, 1] * b,
+            u[1, 0] * a + u[1, 1] * b,
+        )
     elif isinstance(comp, PBS):
-        ia, ib = n_modes + comp.mode_a, n_modes + comp.mode_b
-        m[ia, ia] = m[ib, ib] = 0.0
-        m[ia, ib] = m[ib, ia] = 1.0
+        modes = [comp.mode_a, comp.mode_b]
+        amps[1, modes] = amps[1, modes[::-1]]
     elif isinstance(comp, ModePermuter):
-        m = np.zeros((dim, dim), dtype=complex)
-        for pol in range(2):
-            for src, dst in enumerate(comp.permutation):
-                m[pol * n_modes + dst, pol * n_modes + src] = 1.0
+        amps[:, list(comp.permutation)] = amps.copy()
     else:
         raise TypeError(f"unknown component: {comp!r}")
-    return m
 
 
-def stage_matrix(stage: Sequence[Component], n_modes: int) -> np.ndarray:
+def _operator(n_modes: int, components) -> np.ndarray:
+    """Full-space matrix of components applied in order to the identity columns."""
     m = np.eye(2 * n_modes, dtype=complex)
-    for comp in stage:
-        m = component_matrix(comp, n_modes) @ m
+    columns = m.reshape(2, n_modes, 2 * n_modes)
+    for comp in components:
+        _apply_component(columns, comp)
     return m
+
+
+def component_matrix(comp: Component, n_modes: int) -> np.ndarray:
+    """Full-space matrix of one component on polarization x modes."""
+    return _operator(n_modes, [comp])
 
 
 def circuit_operator(circuit: PhotonicCircuit) -> np.ndarray:
     """Induced unitary of the whole circuit (measurement stage excluded)."""
-    m = np.eye(2 * circuit.n_modes, dtype=complex)
-    for stage in circuit.stages:
-        m = stage_matrix(stage, circuit.n_modes) @ m
-    return m
+    return _operator(
+        circuit.n_modes, [comp for stage in circuit.stages for comp in stage]
+    )
 
 
 def simulate_photonic(circuit: PhotonicCircuit, state: PhotonState) -> PhotonState:
     """Apply the circuit stages in order; the norm is preserved per stage."""
     if state.n_modes != circuit.n_modes:
         raise ValueError("state and circuit mode counts differ")
-    amps = state.amplitudes
+    amps = state.amplitudes.copy()
+    view = amps.reshape(2, circuit.n_modes)
     for stage in circuit.stages:
-        amps = stage_matrix(stage, circuit.n_modes) @ amps
+        for comp in stage:
+            _apply_component(view, comp)
         if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
             raise ValueError("stage did not preserve the state norm")
     return PhotonState(circuit.n_modes, amps)
@@ -290,9 +286,7 @@ def compile(program: Sequence, scheme: str, algorithm: str = "dj") -> PhotonicCi
                 j += 1
             block = _position_hadamard_stages(n_modes)
             walk_op = program_operator(steps[i:j], topo)
-            optic_op = np.eye(2 * n_modes, dtype=complex)
-            for stage in block:
-                optic_op = stage_matrix(stage, n_modes) @ optic_op
+            optic_op = circuit_operator(PhotonicCircuit(n_modes, tuple(block)))
             if not alg.oracles_equivalent(optic_op, walk_op, tol=FIDELITY_TOL):
                 raise CompileError(
                     "position-Hadamard block does not match its walk segment"

@@ -102,27 +102,25 @@ def s_minus(a: int) -> Shift:
     return Shift(coin=a, direction=-1)
 
 
-def _forbidden_positions(shift: Shift, topology: Topology) -> list[int]:
+def _forbidden_edge(shift: Shift, topology: Topology) -> Optional[tuple]:
+    """(source, landing) positions of the wrap edge a shift may not take, if any."""
     # On a closed cycle every move follows an edge.  On an open line the
     # modular wrap is only legal when the wrap target is actually adjacent,
     # which happens exactly for size 2 (a single edge traversed either way).
     if topology.kind == CLOSED_CYCLE or topology.size <= 2:
-        return []
-    return [topology.size - 1 if shift.direction > 0 else 0]
+        return None
+    if shift.direction > 0:
+        return topology.size - 1, 0
+    return 0, topology.size - 1
 
 
 def build_shift(shift: Shift, topology: Topology) -> np.ndarray:
-    """Build the full-space shift operator (a 2*size x 2*size permutation)."""
-    if topology.size < 2:
-        raise ValueError("shift requires at least two positions")
-    n = topology.size
-    m = np.zeros((2 * n, 2 * n), dtype=complex)
-    other = 1 - shift.coin
-    for l in range(n):
-        m[shift.coin * n + (l + shift.direction) % n, shift.coin * n + l] = 1.0
-        m[other * n + l, other * n + l] = 1.0
-    _check_unitary(m)
-    return m
+    """Full-space shift operator (a 2*size x 2*size permutation).
+
+    On an open line the operator includes the wrap edge, so it equals
+    ``apply_step`` on every state that ``apply_step`` accepts.
+    """
+    return step_operator(WalkStep(shift=shift), topology)
 
 
 @dataclass(frozen=True)
@@ -142,7 +140,11 @@ class WalkStep:
 
 @dataclass(frozen=True)
 class WalkState:
-    """Normalized amplitude vector over coin x position, coin-major flat index."""
+    """Amplitude vector over coin x position, coin-major flat index.
+
+    The constructor checks only the length (``2 * size``) and stores a
+    read-only complex copy; it does not check or fix the norm.
+    """
 
     topology: Topology
     amplitudes: np.ndarray
@@ -173,78 +175,80 @@ def _check_unitary(m: np.ndarray) -> None:
         raise WalkError(f"operator is not unitary (max deviation {dev:.3e})")
 
 
-def coin_layer_operator(
-    coin_map: Mapping[int, np.ndarray], topology: Topology
-) -> np.ndarray:
-    """Full-space operator applying coin_map[l] to the coin at each position l."""
-    n = topology.size
-    m = np.zeros((2 * n, 2 * n), dtype=complex)
-    eye2 = np.eye(2)
-    for l in range(n):
-        c = np.asarray(coin_map.get(l, eye2), dtype=complex)
-        for row in range(2):
-            for col in range(2):
-                m[row * n + l, col * n + l] = c[row, col]
+def evolve(amps: np.ndarray, step: WalkStep) -> None:
+    """Apply one step in place to ``amps``, a (2, size, ...) coin x position view.
+
+    The state path passes one vector; the operator path passes the identity
+    columns, shape (2, size, 2 * size).  No boundary or norm check is made.
+    """
+    for l in range(amps.shape[1]):
+        c = step.coin_map.get(l)
+        if c is not None:
+            amps[:, l] = c @ amps[:, l]
+    if step.shift is not None:
+        if amps.shape[1] < 2:
+            raise ValueError("shift requires at least two positions")
+        row = amps[step.shift.coin]
+        row[...] = np.roll(row, step.shift.direction, axis=0)
+    if step.global_phase != 0.0:
+        amps *= np.exp(1j * step.global_phase)
+
+
+def program_operator(steps: Sequence[WalkStep], topology: Topology) -> np.ndarray:
+    """Operator of a whole program: ``evolve`` applied to the identity columns.
+
+    Shifts on an open line include the wrap edge (see ``build_shift``).
+    """
+    m = np.eye(topology.dim, dtype=complex)
+    columns = m.reshape(2, topology.size, topology.dim)
+    for step in steps:
+        evolve(columns, step)
+        _check_unitary(m)
     return m
 
 
 def step_operator(step: WalkStep, topology: Topology) -> np.ndarray:
     """Induced full-space operator of a step: shift . coin-layer . e^{i phase}."""
-    m = coin_layer_operator(step.coin_map, topology)
+    return program_operator([step], topology)
+
+
+def _advance(
+    amps: np.ndarray, step: WalkStep, topology: Topology, norm: float
+) -> float:
+    """State-path step on a flat vector in place; returns the new norm."""
+    view = amps.reshape(2, topology.size)
+    evolve(view, step)
     if step.shift is not None:
-        m = build_shift(step.shift, topology) @ m
-    if step.global_phase != 0.0:
-        m = np.exp(1j * step.global_phase) * m
-    _check_unitary(m)
-    return m
-
-
-def program_operator(steps: Sequence[WalkStep], topology: Topology) -> np.ndarray:
-    """Operator of a whole program (left fold of step operators)."""
-    m = np.eye(topology.dim, dtype=complex)
-    for step in steps:
-        m = step_operator(step, topology) @ m
-    return m
+        edge = _forbidden_edge(step.shift, topology)
+        # A shift is a permutation, so only amplitude that crossed the
+        # forbidden edge can sit on its landing site afterwards.
+        if edge is not None and abs(view[step.shift.coin, edge[1]]) > UNITARITY_TOL:
+            raise BoundaryViolation(
+                f"shift would move amplitude off the open line at position {edge[0]}"
+            )
+    new_norm = float(np.linalg.norm(amps))
+    if abs(new_norm - norm) > NORM_TOL:
+        raise WalkError("step did not preserve the state norm")
+    return new_norm
 
 
 def apply_step(state: WalkState, step: WalkStep) -> WalkState:
     """Apply one step to a state, raising BoundaryViolation on off-line moves."""
-    topo = state.topology
-    n = topo.size
     amps = state.amplitudes.copy()
-    eye2 = np.eye(2)
-    for l in range(n):
-        c = step.coin_map.get(l)
-        if c is None:
-            continue
-        c = np.asarray(c, dtype=complex)
-        v = np.array([amps[l], amps[n + l]])
-        amps[l], amps[n + l] = c @ v
-    if step.shift is not None:
-        for l in _forbidden_positions(step.shift, topo):
-            idx = step.shift.coin * n + l
-            if abs(amps[idx]) > UNITARITY_TOL:
-                raise BoundaryViolation(
-                    f"shift would move amplitude off the open line at position {l}"
-                )
-        block = slice(step.shift.coin * n, (step.shift.coin + 1) * n)
-        amps[block] = np.roll(amps[block], step.shift.direction)
-    if step.global_phase != 0.0:
-        amps = amps * np.exp(1j * step.global_phase)
-    out = WalkState(topo, amps)
-    if abs(out.norm() - state.norm()) > NORM_TOL:
-        raise WalkError("step did not preserve the state norm")
-    return out
+    _advance(amps, step, state.topology, state.norm())
+    return WalkState(state.topology, amps)
 
 
 def run_program(state: WalkState, steps: Sequence[WalkStep]) -> WalkState:
-    """Left-fold apply_step over a program, tagging errors with the step index."""
+    """Fold the steps over the state, tagging errors with the step index."""
+    amps = state.amplitudes.copy()
+    norm = state.norm()
     for i, step in enumerate(steps):
         try:
-            state = apply_step(state, step)
+            norm = _advance(amps, step, state.topology, norm)
         except WalkError as exc:
             raise type(exc)(f"step {i}: {exc}") from exc
-    return state
+    return WalkState(state.topology, amps)
 
 
 def measure_position(state: WalkState) -> np.ndarray:
