@@ -15,6 +15,7 @@ touches walk operators.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -22,9 +23,11 @@ import numpy as np
 
 from .walk_core import (
     CLOSED_CYCLE,
+    NORM_TOL,
     OPEN_LINE,
     DimensionMismatch,
     Topology,
+    WalkError,
     WalkState,
     WalkStep,
     measure_joint,
@@ -81,13 +84,14 @@ class BooleanFn:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("need at least one input bit")
-        table = tuple(int(b) for b in self.table)
+        # Check the raw entries before int(), so 0.5 or "1" is not coerced.
+        table = tuple([int(b) for b in self.table if b in (0, 1)])
+        if len(table) != len(self.table):
+            raise ValueError("truth table entries must be 0 or 1")
         if len(table) != 2**self.n:
             raise ValueError(
                 f"truth table must have {2 ** self.n} entries, got {len(table)}"
             )
-        if any(b not in (0, 1) for b in table):
-            raise ValueError("truth table entries must be 0 or 1")
         object.__setattr__(self, "table", table)
 
     def value(self, x: int) -> int:
@@ -314,23 +318,29 @@ class DJOutcome:
         return FnClass.CONSTANT if self.p_all_zero > 0.5 else FnClass.BALANCED
 
 
+def _dj_prefix(scheme: str) -> list:
+    """Steps before the oracle: state preparation and the first H layer."""
+    if scheme == WITH_AUX:
+        return [WalkStep({0: COIN_X}, tag=TAG_PREP)] + hadamard_layer(WITH_AUX)
+    if scheme == NO_AUX:
+        return hadamard_layer(NO_AUX)
+    raise ValueError(f"unknown scheme: {scheme!r}")
+
+
+def _dj_oracle(f: BooleanFn, scheme: str) -> list:
+    """The oracle step, the only part of a run that depends on f."""
+    build = build_oracle_with_aux if scheme == WITH_AUX else build_oracle_no_aux
+    return list(build(f).steps)
+
+
+def _dj_suffix(scheme: str) -> list:
+    """Steps after the oracle: the final H layer (with-aux leaves the coin alone)."""
+    return hadamard_layer(scheme, include_coin=scheme == NO_AUX)
+
+
 def build_dj_program(f: BooleanFn, scheme: str) -> list:
     """Full walk program for one Deutsch-Jozsa run (prep through final layer)."""
-    if scheme == WITH_AUX:
-        prep = [WalkStep({0: COIN_X}, tag=TAG_PREP)]
-        return (
-            prep
-            + hadamard_layer(WITH_AUX)
-            + list(build_oracle_with_aux(f).steps)
-            + hadamard_layer(WITH_AUX, include_coin=False)
-        )
-    if scheme == NO_AUX:
-        return (
-            hadamard_layer(NO_AUX)
-            + list(build_oracle_no_aux(f).steps)
-            + hadamard_layer(NO_AUX)
-        )
-    raise ValueError(f"unknown scheme: {scheme!r}")
+    return _dj_prefix(scheme) + _dj_oracle(f, scheme) + _dj_suffix(scheme)
 
 
 def scheme_topology(scheme: str) -> Topology:
@@ -355,27 +365,42 @@ def dj_pipeline_states(f: BooleanFn, scheme: str) -> list:
     return snapshots
 
 
-def _run_dj(f: BooleanFn, scheme: str) -> DJOutcome:
+@functools.lru_cache(maxsize=None)
+def _dj_fixed_layers(scheme: str) -> tuple:
+    """(state entering the oracle, read-only suffix operator), built once per scheme."""
+    topo = scheme_topology(scheme)
+    entering = run_program(WalkState.basis(topo, 0, 0), _dj_prefix(scheme))
+    suffix = program_operator(_dj_suffix(scheme), topo)
+    suffix.setflags(write=False)
+    return entering, suffix
+
+
+def _dj_final_state(f: BooleanFn, scheme: str) -> WalkState:
+    """Final state of ``build_dj_program(f, scheme)`` run from basis (0, 0).
+
+    Only the oracle step is evolved per call; the layers around it come from
+    ``_dj_fixed_layers``.
+    """
+    entering, suffix = _dj_fixed_layers(scheme)
+    queried = run_program(entering, _dj_oracle(f, scheme))
+    amps = suffix @ queried.amplitudes
+    if abs(np.linalg.norm(amps) - queried.norm()) > NORM_TOL:
+        raise WalkError("final H layer did not preserve the state norm")
+    return WalkState(entering.topology, amps)
+
+
+def run_dj(f: BooleanFn, scheme: str) -> DJOutcome:
     if classify_fn(f) is FnClass.NEITHER:
         raise PromiseViolation(
             "function is neither constant nor balanced; the Deutsch-Jozsa "
             "promise does not hold"
         )
-    topo = scheme_topology(scheme)
-    final = run_program(WalkState.basis(topo, 0, 0), build_dj_program(f, scheme))
+    final = _dj_final_state(f, scheme)
     if scheme == WITH_AUX:
         p = float(measure_position(final)[0])
     else:
         p = float(measure_joint(final)[0, 0])
     return DJOutcome(scheme, p)
-
-
-def run_dj_with_aux(f: BooleanFn) -> DJOutcome:
-    return _run_dj(f, WITH_AUX)
-
-
-def run_dj_no_aux(f: BooleanFn) -> DJOutcome:
-    return _run_dj(f, NO_AUX)
 
 
 @dataclass(frozen=True)
@@ -398,10 +423,7 @@ def run_bv(s: str, scheme: str) -> BVOutcome:
     f = hidden_string_fn(s)
     n = f.n
     if n == 2:
-        topo = scheme_topology(scheme)
-        final = run_program(
-            WalkState.basis(topo, 0, 0), build_dj_program(f, scheme)
-        )
+        final = _dj_final_state(f, scheme)
         if scheme == WITH_AUX:
             probs = measure_position(final)
             dist = {CYCLE_LABELS[v]: float(probs[v]) for v in range(4)}

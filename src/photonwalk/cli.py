@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from dataclasses import replace
 from typing import Optional, Sequence
@@ -34,10 +36,25 @@ class _Parser(argparse.ArgumentParser):
         raise CLIError(message)
 
 
+def _write_file(path: str, text: str) -> None:
+    """Replace the contents of ``path`` with ``text``.
+
+    The file is overwritten in place and then cut to the new length, not
+    truncated on open: on ext4, closing a file that was truncated to zero and
+    rewritten starts its writeback (``auto_da_alloc``), and the next truncation
+    of the same file waits for that disk write, so back-to-back calls would
+    each wait on the disk.  The file is not synced.
+    """
+    no_trunc = lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)
+    with open(path, "w", opener=no_trunc) as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        _write_file(output, text)
     else:
         sys.stdout.write(text)
 
@@ -55,9 +72,12 @@ def _load_function(args) -> alg.BooleanFn:
         except (OSError, json.JSONDecodeError) as exc:
             raise CLIError(f"table: {exc}") from exc
         try:
-            return alg.BooleanFn(int(blob["n"]), tuple(blob["table"]))
+            f = alg.BooleanFn(int(blob["n"]), tuple(blob["table"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise CLIError(f"table: {exc}") from exc
+        if f.n != 2:
+            raise CLIError("walk schemes support 2-bit functions")
+        return f
     raise CLIError("dj needs --function or --table")
 
 
@@ -84,7 +104,7 @@ def cmd_dj(args) -> int:
     schemes = _schemes(args.scheme)
     results = []
     for scheme in schemes:
-        out = alg._run_dj(f, scheme)
+        out = alg.run_dj(f, scheme)
         entry = {
             "scheme": scheme,
             "p_all_zero": out.p_all_zero,
@@ -230,7 +250,7 @@ def _suite_dj_determinism(perturb):
     for name, f in alg.two_bit_catalogue():
         expect = 1.0 if alg.classify_fn(f) is alg.FnClass.CONSTANT else 0.0
         for scheme in alg.SCHEMES:
-            p = alg._run_dj(f, scheme).p_all_zero
+            p = alg.run_dj(f, scheme).p_all_zero
             assert abs(p - expect) <= 1e-10, f"{name}/{scheme}: p={p}"
             assert abs(p - alg.brute_force_p_all_zero(scheme, f)) <= 1e-10
     rng = np.random.default_rng(99)
@@ -317,9 +337,12 @@ def _parse_perturb(spec: Optional[str]) -> dict:
         return {}
     try:
         key, value = spec.split("=", 1)
-        return {key: float(value)}
+        value = float(value)
     except ValueError as exc:
         raise CLIError(f"perturb: expected key=value, got {spec!r}") from exc
+    if key != "hwp":
+        raise CLIError(f"perturb: unknown key {key!r} (use hwp)")
+    return {key: value}
 
 
 def run_suites(names: Optional[Sequence[str]] = None, perturb: Optional[dict] = None):
@@ -373,8 +396,7 @@ def cmd_report(args) -> int:
     else:
         _emit(ph.report_to_csv(rows), args.output)
         if args.output:
-            with open(args.output + ".json", "w") as fh:
-                json.dump({"rows": rows}, fh, indent=2)
+            _write_file(args.output + ".json", json.dumps({"rows": rows}, indent=2))
     return EXIT_OK
 
 

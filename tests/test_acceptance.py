@@ -33,7 +33,7 @@ def test_criterion_1_dj_exactness():
         for name, f in alg.two_bit_catalogue():
             expect = 1.0 if name in ("i", "ii") else 0.0
             for scheme in alg.SCHEMES:
-                p = alg._run_dj(f, scheme).p_all_zero
+                p = alg.run_dj(f, scheme).p_all_zero
                 assert abs(p - expect) <= 1e-10, f"{name}/{scheme}: p={p}"
     _report("1 DJ exactness", t, 1.0)
 

@@ -43,6 +43,21 @@ class TestClassify:
         assert alg.classify_fn(alg.BooleanFn(2, (0, 0, 0, 1))) is alg.FnClass.NEITHER
 
 
+class TestBooleanFnEntries:
+    @pytest.mark.parametrize(
+        "table", [(0.5, 0, 1, 1), "0011", ("0", "0", "1", "1")],
+        ids=["fraction", "string", "string-entries"],
+    )
+    def test_rejects_non_bit_entries(self, table):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            alg.BooleanFn(2, table)
+
+    def test_integral_entries_become_ints(self):
+        f = alg.BooleanFn(2, (1.0, np.int64(0), True, 0))
+        assert f.table == (1, 0, 1, 0)
+        assert all(type(b) is int for b in f.table)
+
+
 class TestCatalogue:
     def test_tables(self):
         cat = dict(alg.two_bit_catalogue())
@@ -238,21 +253,21 @@ class TestHadamardLayer:
 
 class TestDeutschJozsa:
     def test_constant_one_with_aux(self):
-        out = alg.run_dj_with_aux(alg.BooleanFn(2, TABLE_1["ii"]))
+        out = alg.run_dj(alg.BooleanFn(2, TABLE_1["ii"]), alg.WITH_AUX)
         assert out.p_all_zero == pytest.approx(1.0, abs=1e-10)
         assert out.classification is alg.FnClass.CONSTANT
 
     def test_x2_with_aux(self):
-        out = alg.run_dj_with_aux(alg.BooleanFn(2, TABLE_1["iv"]))
+        out = alg.run_dj(alg.BooleanFn(2, TABLE_1["iv"]), alg.WITH_AUX)
         assert out.p_all_zero == pytest.approx(0.0, abs=1e-10)
         assert out.classification is alg.FnClass.BALANCED
 
     def test_no_aux_examples(self):
-        assert alg.run_dj_no_aux(
-            alg.BooleanFn(2, TABLE_1["i"])
+        assert alg.run_dj(
+            alg.BooleanFn(2, TABLE_1["i"]), alg.NO_AUX
         ).p_all_zero == pytest.approx(1.0, abs=1e-10)
         for name in ("v", "vii"):
-            out = alg.run_dj_no_aux(alg.BooleanFn(2, TABLE_1[name]))
+            out = alg.run_dj(alg.BooleanFn(2, TABLE_1[name]), alg.NO_AUX)
             assert out.p_all_zero == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("name", sorted(TABLE_1))
@@ -271,7 +286,7 @@ class TestDeutschJozsa:
 
     def test_promise_violation(self):
         with pytest.raises(alg.PromiseViolation):
-            alg.run_dj_with_aux(alg.BooleanFn(2, (0, 0, 0, 1)))
+            alg.run_dj(alg.BooleanFn(2, (0, 0, 0, 1)), alg.WITH_AUX)
 
     def test_pipeline_states_normalized(self):
         snaps = alg.dj_pipeline_states(alg.BooleanFn(2, TABLE_1["vii"]), alg.WITH_AUX)

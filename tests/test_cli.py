@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -42,6 +43,25 @@ class TestDJ:
         table.write_text("{not json")
         code, _, err = run(capsys, "dj", "--table", str(table))
         assert code == 1
+
+    def test_table_with_three_bits_exit_1(self, capsys, tmp_path):
+        table = tmp_path / "n3.json"
+        table.write_text(json.dumps({"n": 3, "table": [0, 0, 0, 0, 1, 1, 1, 1]}))
+        code, _, err = run(capsys, "dj", "--table", str(table))
+        assert code == 1
+        assert err == "error: walk schemes support 2-bit functions\n"
+
+    @pytest.mark.parametrize(
+        "entries", [[0.5, 0, 1, 1], "0011", ["0", "0", "1", "1"]],
+        ids=["fraction", "string", "string-entries"],
+    )
+    def test_table_non_bit_entries_exit_1(self, capsys, tmp_path, entries):
+        table = tmp_path / "t.json"
+        table.write_text(json.dumps({"n": 2, "table": entries}))
+        code, out, err = run(capsys, "dj", "--table", str(table))
+        assert code == 1
+        assert out == ""
+        assert "entries must be 0 or 1" in err
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "dj", "--function", "ii", "--format", "json")
@@ -106,6 +126,12 @@ class TestVerify:
         assert "photonic-fidelity: FAIL" in out
         assert "first failure" in err
 
+    def test_unknown_perturb_key_exit_1(self, capsys):
+        code, out, err = run(capsys, "verify", "--perturb", "bs=0.5")
+        assert code == 1
+        assert out == ""
+        assert "bs" in err
+
     def test_registry_covers_all_module_invariants(self):
         # one suite per invariant family declared across the three modules
         names = {name for name, _ in cli.ALL_SUITES}
@@ -159,3 +185,36 @@ class TestReport:
     def test_unknown_algorithm_exit_1(self, capsys):
         code, _, _ = run(capsys, "report", "--algorithms", "grover")
         assert code == 1
+
+
+class TestOutputFile:
+    def test_replaces_a_longer_file(self, capsys, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("x" * 5000)
+        _, out, _ = run(capsys, "bv", "--string", "11")
+        code, _, _ = run(capsys, "bv", "--string", "11", "--output", str(path))
+        assert code == 0
+        assert path.read_text() == out
+
+    def test_report_replaces_both_longer_files(self, capsys, tmp_path):
+        path = tmp_path / "report.csv"
+        for p in (path, tmp_path / "report.csv.json"):
+            p.write_text("x" * 50000)
+        _, csv_out, _ = run(capsys, "report")
+        _, json_out, _ = run(capsys, "report", "--format", "json")
+        code, _, _ = run(capsys, "report", "--output", str(path))
+        assert code == 0
+        assert path.read_text() == csv_out
+        assert (tmp_path / "report.csv.json").read_text() + "\n" == json_out
+
+    def test_new_file_gets_the_usual_mode(self, capsys, tmp_path):
+        reference = tmp_path / "reference"
+        reference.write_text("")
+        path = tmp_path / "out.json"
+        code, _, _ = run(capsys, "dj", "--function", "i", "--output", str(path))
+        assert code == 0
+        assert path.stat().st_mode == reference.stat().st_mode
+
+    def test_writes_to_a_device(self, capsys):
+        code, _, _ = run(capsys, "dj", "--function", "i", "--output", os.devnull)
+        assert code == 0

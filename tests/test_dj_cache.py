@@ -1,0 +1,123 @@
+"""The per-scheme cache of the f-independent DJ/BV layers, and repeated CLI calls in one process."""
+
+import json
+
+import numpy as np
+import pytest
+
+from photonwalk import algorithms as alg
+from photonwalk import cli
+from photonwalk import walk_core as wc
+
+CASES = [(name, f) for name, f in alg.two_bit_catalogue()]
+CASES += [(f"bv {s}", alg.hidden_string_fn(s)) for s, _ in alg.BV_STRINGS]
+
+
+def full_program_state(f, scheme):
+    topo = alg.scheme_topology(scheme)
+    return wc.run_program(wc.WalkState.basis(topo, 0, 0), alg.build_dj_program(f, scheme))
+
+
+@pytest.mark.parametrize("scheme", alg.SCHEMES)
+@pytest.mark.parametrize("name,f", CASES, ids=[name for name, _ in CASES])
+def test_cached_path_equals_full_program(name, f, scheme):
+    got = alg._dj_final_state(f, scheme)
+    want = full_program_state(f, scheme)
+    assert got.topology == want.topology
+    assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", alg.SCHEMES)
+def test_program_is_prefix_oracle_suffix(scheme):
+    f = dict(alg.two_bit_catalogue())["vii"]
+    prefix, oracle, suffix = (
+        alg._dj_prefix(scheme), alg._dj_oracle(f, scheme), alg._dj_suffix(scheme)
+    )
+    program = alg.build_dj_program(f, scheme)
+    assert len(program) == len(prefix) + len(oracle) + len(suffix)
+    assert [s.tag for s in program] == [s.tag for s in prefix + oracle + suffix]
+    assert [s.tag for s in oracle] == [alg.TAG_ORACLE]
+    topo = alg.scheme_topology(scheme)
+    assert np.array_equal(
+        wc.program_operator(program, topo),
+        wc.program_operator(prefix + oracle + suffix, topo),
+    )
+
+
+@pytest.mark.parametrize("scheme", alg.SCHEMES)
+def test_program_lengths_and_tags_unchanged(scheme):
+    program = alg.build_dj_program(dict(alg.two_bit_catalogue())["iii"], scheme)
+    tags = [s.tag for s in program]
+    if scheme == alg.WITH_AUX:
+        assert len(program) == 63
+        assert tags[:2] == [alg.TAG_PREP, alg.TAG_COIN_HADAMARD]
+        assert tags[2:32] == [alg.TAG_POSITION_HADAMARD] * 30
+        assert tags[32] == alg.TAG_ORACLE
+        assert tags[33:] == [alg.TAG_POSITION_HADAMARD] * 30
+    else:
+        assert len(program) == 17
+        assert tags[0] == alg.TAG_COIN_HADAMARD
+        assert tags[1:8] == [alg.TAG_POSITION_HADAMARD] * 7
+        assert tags[8] == alg.TAG_ORACLE
+        assert tags[9] == alg.TAG_COIN_HADAMARD
+        assert tags[10:] == [alg.TAG_POSITION_HADAMARD] * 7
+
+
+@pytest.mark.parametrize("scheme", alg.SCHEMES)
+def test_cached_values_are_read_only(scheme):
+    entering, suffix = alg._dj_fixed_layers(scheme)
+    with pytest.raises(ValueError):
+        entering.amplitudes[0] = 0.0
+    with pytest.raises(ValueError):
+        suffix[0, 0] = 0.0
+    assert alg._dj_fixed_layers(scheme) is alg._dj_fixed_layers(scheme)
+
+
+def test_unknown_scheme_raises_and_leaves_cache_usable():
+    f = dict(alg.two_bit_catalogue())["ii"]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            alg._dj_fixed_layers("sideways")
+        with pytest.raises(ValueError, match="unknown scheme"):
+            alg.run_dj(f, "sideways")
+    for scheme in alg.SCHEMES:
+        assert abs(alg.run_dj(f, scheme).p_all_zero - 1.0) <= 1e-12
+
+
+def run(capsys, *argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_calls_leak_no_dump_state(capsys):
+    code, out, _ = run(capsys, "dj", "--function", "i", "--dump-state", "--format", "json")
+    assert code == 0
+    assert all("states" in r for r in json.loads(out)["results"])
+    code, out, _ = run(capsys, "dj", "--function", "i", "--format", "json")
+    assert code == 0
+    assert all("states" not in r for r in json.loads(out)["results"])
+
+
+def test_repeated_calls_leak_no_options_across_commands(capsys):
+    code, _, _ = run(capsys, "dj", "--function", "vii", "--scheme", "no-aux")
+    assert code == 0
+    code, out, _ = run(capsys, "dj", "--function", "vii")
+    assert code == 0
+    assert "schemes agree: yes" in out
+    code, out, _ = run(capsys, "bv", "--string", "10")
+    assert code == 0
+    assert out.startswith("with-aux: recovered=10")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [("dj", "--function", "ix"), ("dj", "--bogus"), ("bv",), ("nope",), ()],
+    ids=["unknown-function", "unknown-flag", "missing-string", "unknown-command", "empty"],
+)
+def test_failed_call_does_not_break_the_next(capsys, bad):
+    code, _, _ = run(capsys, *bad)
+    assert code == 1
+    code, out, _ = run(capsys, "dj", "--function", "iii")
+    assert code == 0
+    assert "classification=balanced" in out
