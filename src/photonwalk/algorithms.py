@@ -23,6 +23,7 @@ import numpy as np
 
 from .walk_core import (
     CLOSED_CYCLE,
+    MATCH_TOL,
     NORM_TOL,
     OPEN_LINE,
     DimensionMismatch,
@@ -82,6 +83,8 @@ class BooleanFn:
     table: tuple
 
     def __post_init__(self) -> None:
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise ValueError(f"n must be an int, got {self.n!r}")
         if self.n < 1:
             raise ValueError("need at least one input bit")
         # Check the raw entries before int(), so 0.5 or "1" is not coerced.
@@ -191,7 +194,7 @@ def reference_circuit_oracle(f: BooleanFn) -> np.ndarray:
     return m
 
 
-def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
+def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = NORM_TOL) -> bool:
     """True iff a = e^{i phi} b, taking the phase at a's largest entry."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -199,22 +202,13 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
     a, b = a.ravel(), b.ravel()
     i = int(np.argmax(np.abs(a)))
-    if abs(a[i]) <= 1e-12:
+    if abs(a[i]) <= MATCH_TOL:
         return bool(np.max(np.abs(b)) <= tol)
-    if abs(b[i]) <= 1e-12:
+    if abs(b[i]) <= MATCH_TOL:
         return False
     phase = a[i] / b[i]
     phase /= abs(phase)
     return bool(np.max(np.abs(a - phase * b)) <= tol)
-
-
-def oracles_equivalent(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
-    """Operator equality modulo a global phase."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return equal_up_to_global_phase(a, b, tol)
 
 
 def with_aux_index_map() -> np.ndarray:

@@ -72,7 +72,7 @@ def _load_function(args) -> alg.BooleanFn:
         except (OSError, json.JSONDecodeError) as exc:
             raise CLIError(f"table: {exc}") from exc
         try:
-            f = alg.BooleanFn(int(blob["n"]), tuple(blob["table"]))
+            f = alg.BooleanFn(blob["n"], tuple(blob["table"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise CLIError(f"table: {exc}") from exc
         if f.n != 2:
@@ -180,9 +180,9 @@ def _suite_coin_unitarity(perturb):
         p, q, r, t = rng.uniform(-2 * np.pi, 2 * np.pi, size=4)
         m = wc.build_coin(wc.CoinParams(p, q, r, t))
         dev = np.max(np.abs(m.conj().T @ m - np.eye(2)))
-        assert dev <= 1e-12, f"coin unitarity deviation {dev:.3e}"
+        assert dev <= wc.MATCH_TOL, f"coin unitarity deviation {dev:.3e}"
         det = np.linalg.det(m)
-        assert abs(det - np.exp(2j * p)) <= 1e-12, "coin determinant != e^{2ip}"
+        assert abs(det - np.exp(2j * p)) <= wc.MATCH_TOL, "coin determinant != e^{2ip}"
 
 
 def _suite_shift_structure(perturb):
@@ -194,7 +194,7 @@ def _suite_shift_structure(perturb):
             mags = np.abs(m)
             assert np.all(np.isclose(mags.sum(axis=0), 1.0)), "not a permutation"
             assert np.all(np.isclose(mags.sum(axis=1), 1.0)), "not a permutation"
-            assert np.all((mags < 1e-15) | (np.abs(mags - 1) < 1e-15))
+            assert np.all((mags < wc.EXACT_TOL) | (np.abs(mags - 1) < wc.EXACT_TOL))
 
 
 def _suite_norm_preservation(perturb):
@@ -210,11 +210,11 @@ def _suite_norm_preservation(perturb):
             coin_map[l] = qmat
         shift = [None, wc.s_plus(0), wc.s_minus(1)][int(rng.integers(3))]
         out = wc.apply_step(state, wc.WalkStep(coin_map, shift, rng.uniform(0, np.pi)))
-        assert abs(out.norm() - 1.0) <= 1e-10, "norm drifted"
+        assert abs(out.norm() - 1.0) <= wc.NORM_TOL, "norm drifted"
         pos = wc.measure_position(out)
         joint = wc.measure_joint(out)
-        assert abs(pos.sum() - 1.0) <= 1e-10
-        assert abs(joint.sum() - 1.0) <= 1e-10
+        assert abs(pos.sum() - 1.0) <= wc.NORM_TOL
+        assert abs(joint.sum() - 1.0) <= wc.NORM_TOL
 
 
 def _suite_hadamard_involution(perturb):
@@ -223,8 +223,8 @@ def _suite_hadamard_involution(perturb):
         for include_coin in (True, False):
             layer = alg.hadamard_layer(scheme, include_coin=include_coin)
             op = wc.program_operator(layer, topo)
-            assert alg.oracles_equivalent(
-                op @ op, np.eye(topo.dim), tol=1e-10
+            assert alg.equal_up_to_global_phase(
+                op @ op, np.eye(topo.dim), tol=wc.NORM_TOL
             ), f"{scheme} layer squared is not identity"
 
 
@@ -234,14 +234,14 @@ def _suite_oracle_equiv(perturb):
             alg.oracle_operator(alg.build_oracle_with_aux(f))
         )
         ref = alg.reference_circuit_oracle(f)
-        assert alg.oracles_equivalent(walk_op, ref, tol=1e-10), (
+        assert alg.equal_up_to_global_phase(walk_op, ref, tol=wc.NORM_TOL), (
             f"with-aux oracle mismatch for {name}"
         )
         diag_op = alg.oracle_operator(alg.build_oracle_no_aux(f))
         off = diag_op - np.diag(np.diag(diag_op))
-        assert np.max(np.abs(off)) <= 1e-12, f"no-aux oracle not diagonal for {name}"
+        assert np.max(np.abs(off)) <= wc.MATCH_TOL, f"no-aux oracle not diagonal for {name}"
         want = np.array([(-1.0) ** f.value(x) for x in range(4)])
-        assert alg.equal_up_to_global_phase(np.diag(diag_op), want, tol=1e-10), (
+        assert alg.equal_up_to_global_phase(np.diag(diag_op), want, tol=wc.NORM_TOL), (
             f"no-aux oracle diagonal mismatch for {name}"
         )
 
@@ -251,8 +251,8 @@ def _suite_dj_determinism(perturb):
         expect = 1.0 if alg.classify_fn(f) is alg.FnClass.CONSTANT else 0.0
         for scheme in alg.SCHEMES:
             p = alg.run_dj(f, scheme).p_all_zero
-            assert abs(p - expect) <= 1e-10, f"{name}/{scheme}: p={p}"
-            assert abs(p - alg.brute_force_p_all_zero(scheme, f)) <= 1e-10
+            assert abs(p - expect) <= wc.NORM_TOL, f"{name}/{scheme}: p={p}"
+            assert abs(p - alg.brute_force_p_all_zero(scheme, f)) <= wc.NORM_TOL
     rng = np.random.default_rng(99)
     for n in range(3, 7):
         for _ in range(10):
@@ -260,7 +260,7 @@ def _suite_dj_determinism(perturb):
             rng.shuffle(table)
             f = alg.BooleanFn(n, tuple(table))
             for scheme in alg.SCHEMES:
-                assert alg.brute_force_p_all_zero(scheme, f) <= 1e-12
+                assert alg.brute_force_p_all_zero(scheme, f) <= wc.MATCH_TOL
 
 
 def _suite_bv_exactness(perturb):
@@ -271,7 +271,7 @@ def _suite_bv_exactness(perturb):
         for scheme in alg.SCHEMES:
             out = alg.run_bv(s, scheme)
             assert out.recovered == s, f"recovered {out.recovered} for {s}"
-            assert abs(out.probability - 1.0) <= 1e-10
+            assert abs(out.probability - 1.0) <= wc.NORM_TOL
 
 
 def _perturbed(circuit: ph.PhotonicCircuit, perturb) -> ph.PhotonicCircuit:
@@ -295,25 +295,22 @@ def _suite_photonic_fidelity(perturb):
         (0.0, alg.COIN_PHASE_FLIP_1),
         (np.pi / 2, alg.COIN_PHASE_FLIP_0),
     ]:
-        assert np.max(np.abs(ph.hwp_jones(angle) - target)) <= 1e-12
+        assert np.max(np.abs(ph.hwp_jones(angle) - target)) <= wc.MATCH_TOL
     cases = [(name, f) for name, f in alg.two_bit_catalogue()]
     cases += [(f"bv {s}", alg.hidden_string_fn(s)) for s, _ in alg.BV_STRINGS]
     for name, f in cases:
         for scheme in alg.SCHEMES:
             prog = alg.build_dj_program(f, scheme)
             circ = _perturbed(ph.compile(prog, scheme), perturb)
-            walk_op = wc.program_operator(prog, alg.scheme_topology(scheme))
-            assert alg.oracles_equivalent(
-                ph.circuit_operator(circ), walk_op, tol=1e-9
+            topo = alg.scheme_topology(scheme)
+            assert alg.equal_up_to_global_phase(
+                ph.circuit_operator(circ), wc.program_operator(prog, topo),
+                tol=wc.FIDELITY_TOL,
             ), f"photonic/walk mismatch for {name}/{scheme}"
-            n_modes = circ.n_modes
-            final = ph.simulate_photonic(circ, ph.PhotonState.basis(n_modes, 0, 0))
-            probs = np.abs(final.amplitudes) ** 2
-            walk_final = wc.run_program(
-                wc.WalkState.basis(alg.scheme_topology(scheme), 0, 0), prog
-            )
-            walk_probs = np.abs(walk_final.amplitudes) ** 2
-            assert np.max(np.abs(probs - walk_probs)) <= 1e-9, (
+            start = wc.WalkState.basis(topo, 0, 0)
+            probs = wc.measure_joint(ph.simulate_photonic(circ, start))
+            walk_probs = wc.measure_joint(wc.run_program(start, prog))
+            assert np.max(np.abs(probs - walk_probs)) <= wc.FIDELITY_TOL, (
                 f"photonic probabilities drifted for {name}/{scheme}"
             )
 
@@ -368,11 +365,15 @@ def cmd_verify(args) -> int:
     if names and names[0] not in dict(ALL_SUITES):
         raise CLIError(f"unknown suite {args.suite!r}")
     results = run_suites(names, _parse_perturb(args.perturb))
-    lines = [
-        f"{name}: {'pass' if ok else 'FAIL'}{(' -- ' + msg) if msg else ''}"
-        for name, ok, msg in results
-    ]
-    _emit("\n".join(lines) + "\n", args.output)
+    if args.format == "json":
+        rows = [{"suite": n, "passed": ok, "message": msg} for n, ok, msg in results]
+        text = json.dumps({"command": "verify", "results": rows}, indent=2)
+    else:
+        text = "\n".join(
+            f"{name}: {'pass' if ok else 'FAIL'}{(' -- ' + msg) if msg else ''}"
+            for name, ok, msg in results
+        )
+    _emit(text + "\n", args.output)
     failures = [(name, msg) for name, ok, msg in results if not ok]
     if failures:
         sys.stderr.write(f"first failure: {failures[0][0]}: {failures[0][1]}\n")

@@ -1,8 +1,8 @@
 """Linear-optics model and compiler for the walk programs.
 
-A photon occupies (polarization, mode) with the same coin-major flat index
-the walk uses, so compiled circuits and walk programs produce directly
-comparable operators: polarization <-> coin, mode <-> position.
+A photon state is a ``WalkState``: polarization is the coin and mode the
+position, in the same coin-major flat index, so circuits and walk programs
+act on the same states and give directly comparable operators.
 
 Components: half-wave plates (HWP), 50:50 beam splitters (BS), phase
 shifters, polarizing beam splitters (PBS), and mode permuters.  Mode
@@ -17,10 +17,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import algorithms as alg
-from .walk_core import NORM_TOL, program_operator
-
-MATCH_TOL = 1e-12
-FIDELITY_TOL = 1e-9
+from .walk_core import FIDELITY_TOL, MATCH_TOL, NORM_TOL, WalkState, program_operator
 
 
 class CompileError(Exception):
@@ -124,28 +121,6 @@ class PhotonicCircuit:
         object.__setattr__(self, "stages", stages)
 
 
-@dataclass(frozen=True)
-class PhotonState:
-    """Amplitudes over (polarization, mode); index pol * n_modes + mode."""
-
-    n_modes: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2 * self.n_modes,):
-            raise ValueError(f"expected {2 * self.n_modes} amplitudes")
-        amps = amps.copy()
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def basis(cls, n_modes: int, polarization: int, mode: int) -> "PhotonState":
-        amps = np.zeros(2 * n_modes, dtype=complex)
-        amps[polarization * n_modes + mode] = 1.0
-        return cls(n_modes, amps)
-
-
 def _apply_component(amps: np.ndarray, comp: Component) -> None:
     """Apply one component in place to ``amps``, a (2, n_modes, ...) view."""
     if isinstance(comp, HWP):
@@ -189,18 +164,23 @@ def circuit_operator(circuit: PhotonicCircuit) -> np.ndarray:
     )
 
 
-def simulate_photonic(circuit: PhotonicCircuit, state: PhotonState) -> PhotonState:
-    """Apply the circuit stages in order; the norm is preserved per stage."""
-    if state.n_modes != circuit.n_modes:
+def simulate_photonic(circuit: PhotonicCircuit, state: WalkState) -> WalkState:
+    """Apply the circuit stages in order; each stage keeps the input norm.
+
+    The state's topology must have ``circuit.n_modes`` positions; its kind
+    is not read.
+    """
+    if state.topology.size != circuit.n_modes:
         raise ValueError("state and circuit mode counts differ")
     amps = state.amplitudes.copy()
     view = amps.reshape(2, circuit.n_modes)
+    norm = state.norm()
     for stage in circuit.stages:
         for comp in stage:
             _apply_component(view, comp)
-        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
+        if abs(np.linalg.norm(amps) - norm) > NORM_TOL:
             raise ValueError("stage did not preserve the state norm")
-    return PhotonState(circuit.n_modes, amps)
+    return WalkState(state.topology, amps)
 
 
 # Coin lowering alphabet: matrix pattern -> component factory (None = no optics).
@@ -273,8 +253,8 @@ def compile(program: Sequence, scheme: str, algorithm: str = "dj") -> PhotonicCi
     """
     if scheme not in alg.SCHEMES:
         raise ValueError(f"unknown scheme: {scheme!r}")
-    n_modes = 4 if scheme == alg.WITH_AUX else 2
     topo = alg.scheme_topology(scheme)
+    n_modes = topo.size
     stages: list = []
     steps = list(program)
     i = 0
@@ -287,7 +267,7 @@ def compile(program: Sequence, scheme: str, algorithm: str = "dj") -> PhotonicCi
             block = _position_hadamard_stages(n_modes)
             walk_op = program_operator(steps[i:j], topo)
             optic_op = circuit_operator(PhotonicCircuit(n_modes, tuple(block)))
-            if not alg.oracles_equivalent(optic_op, walk_op, tol=FIDELITY_TOL):
+            if not alg.equal_up_to_global_phase(optic_op, walk_op, tol=FIDELITY_TOL):
                 raise CompileError(
                     "position-Hadamard block does not match its walk segment"
                 )

@@ -13,8 +13,11 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-UNITARITY_TOL = 1e-12
-NORM_TOL = 1e-10
+# Every tolerance in the package, one name per value.
+EXACT_TOL = 1e-15  # entries that must be exactly 0 or 1
+MATCH_TOL = 1e-12  # unitarity, exact matrix patterns, amplitudes read as zero
+NORM_TOL = 1e-10  # norms, probabilities, operators equal up to a global phase
+FIDELITY_TOL = 1e-9  # compiled optics against the walk
 
 OPEN_LINE = "open_line"
 CLOSED_CYCLE = "closed_cycle"
@@ -171,7 +174,7 @@ class WalkState:
 
 def _check_unitary(m: np.ndarray) -> None:
     dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-    if dev > UNITARITY_TOL:
+    if dev > MATCH_TOL:
         raise WalkError(f"operator is not unitary (max deviation {dev:.3e})")
 
 
@@ -179,14 +182,19 @@ def evolve(amps: np.ndarray, step: WalkStep) -> None:
     """Apply one step in place to ``amps``, a (2, size, ...) coin x position view.
 
     The state path passes one vector; the operator path passes the identity
-    columns, shape (2, size, 2 * size).  No boundary or norm check is made.
+    columns, shape (2, size, 2 * size).  A coin position outside ``[0, size)``
+    raises WalkError; no boundary or norm check is made.
     """
-    for l in range(amps.shape[1]):
+    size = amps.shape[1]
+    bad = [l for l in step.coin_map if not 0 <= l < size]
+    if bad:
+        raise WalkError(f"coin position {bad[0]} outside a topology of size {size}")
+    for l in range(size):
         c = step.coin_map.get(l)
         if c is not None:
             amps[:, l] = c @ amps[:, l]
     if step.shift is not None:
-        if amps.shape[1] < 2:
+        if size < 2:
             raise ValueError("shift requires at least two positions")
         row = amps[step.shift.coin]
         row[...] = np.roll(row, step.shift.direction, axis=0)
@@ -212,43 +220,40 @@ def step_operator(step: WalkStep, topology: Topology) -> np.ndarray:
     return program_operator([step], topology)
 
 
-def _advance(
-    amps: np.ndarray, step: WalkStep, topology: Topology, norm: float
-) -> float:
-    """State-path step on a flat vector in place; returns the new norm."""
-    view = amps.reshape(2, topology.size)
-    evolve(view, step)
-    if step.shift is not None:
-        edge = _forbidden_edge(step.shift, topology)
-        # A shift is a permutation, so only amplitude that crossed the
-        # forbidden edge can sit on its landing site afterwards.
-        if edge is not None and abs(view[step.shift.coin, edge[1]]) > UNITARITY_TOL:
-            raise BoundaryViolation(
-                f"shift would move amplitude off the open line at position {edge[0]}"
-            )
-    new_norm = float(np.linalg.norm(amps))
-    if abs(new_norm - norm) > NORM_TOL:
-        raise WalkError("step did not preserve the state norm")
-    return new_norm
-
-
 def apply_step(state: WalkState, step: WalkStep) -> WalkState:
     """Apply one step to a state, raising BoundaryViolation on off-line moves."""
-    amps = state.amplitudes.copy()
-    _advance(amps, step, state.topology, state.norm())
-    return WalkState(state.topology, amps)
+    return run_program(state, [step])
 
 
 def run_program(state: WalkState, steps: Sequence[WalkStep]) -> WalkState:
-    """Fold the steps over the state, tagging errors with the step index."""
+    """Fold the steps over the state in place, tagging errors with the step index.
+
+    Every step must preserve the norm; on an open line no amplitude may
+    cross the wrap edge (BoundaryViolation).
+    """
+    topology = state.topology
     amps = state.amplitudes.copy()
+    view = amps.reshape(2, topology.size)
     norm = state.norm()
     for i, step in enumerate(steps):
         try:
-            norm = _advance(amps, step, state.topology, norm)
+            evolve(view, step)
+            if step.shift is not None:
+                edge = _forbidden_edge(step.shift, topology)
+                # A shift is a permutation, so only amplitude that crossed the
+                # forbidden edge can sit on its landing site afterwards.
+                if edge is not None and abs(view[step.shift.coin, edge[1]]) > MATCH_TOL:
+                    raise BoundaryViolation(
+                        "shift would move amplitude off the open line at "
+                        f"position {edge[0]}"
+                    )
+            new_norm = float(np.linalg.norm(amps))
+            if abs(new_norm - norm) > NORM_TOL:
+                raise WalkError("step did not preserve the state norm")
+            norm = new_norm
         except WalkError as exc:
             raise type(exc)(f"step {i}: {exc}") from exc
-    return WalkState(state.topology, amps)
+    return WalkState(topology, amps)
 
 
 def measure_position(state: WalkState) -> np.ndarray:

@@ -54,7 +54,7 @@ def test_criterion_3_oracle_equivalence():
             walk_op = alg.walk_to_circuit_operator(
                 alg.oracle_operator(alg.build_oracle_with_aux(f))
             )
-            assert alg.oracles_equivalent(
+            assert alg.equal_up_to_global_phase(
                 walk_op, alg.reference_circuit_oracle(f), tol=1e-10
             ), name
             diag_op = alg.oracle_operator(alg.build_oracle_no_aux(f))
@@ -80,7 +80,7 @@ def test_criterion_4_photonic_fidelity():
                 prog = alg.build_dj_program(f, scheme)
                 circuit = ph.compile(prog, scheme)
                 walk_op = wc.program_operator(prog, alg.scheme_topology(scheme))
-                assert alg.oracles_equivalent(
+                assert alg.equal_up_to_global_phase(
                     ph.circuit_operator(circuit), walk_op, tol=1e-9
                 ), f"{name}/{scheme}"
     _report("4 photonic fidelity", t, 2.0)

@@ -52,6 +52,11 @@ class TestBooleanFnEntries:
         with pytest.raises(ValueError, match="entries must be 0 or 1"):
             alg.BooleanFn(2, table)
 
+    @pytest.mark.parametrize("n", [2.5, "2", True], ids=["fraction", "string", "bool"])
+    def test_rejects_non_int_n(self, n):
+        with pytest.raises(ValueError, match="n must be an int"):
+            alg.BooleanFn(n, (0, 1))
+
     def test_integral_entries_become_ints(self):
         f = alg.BooleanFn(2, (1.0, np.int64(0), True, 0))
         assert f.table == (1, 0, 1, 0)
@@ -123,7 +128,7 @@ class TestWithAuxOracle:
         walk_op = alg.walk_to_circuit_operator(
             alg.oracle_operator(alg.build_oracle_with_aux(f))
         )
-        assert alg.oracles_equivalent(walk_op, alg.reference_circuit_oracle(f))
+        assert alg.equal_up_to_global_phase(walk_op, alg.reference_circuit_oracle(f))
 
 
 class TestNoAuxOracle:
@@ -192,46 +197,46 @@ class TestReferenceCircuitOracle:
 
 class TestOraclesEquivalent:
     def test_global_phase(self):
-        assert alg.oracles_equivalent(np.eye(4), np.exp(1j * np.pi) * np.eye(4))
+        assert alg.equal_up_to_global_phase(np.eye(4), np.exp(1j * np.pi) * np.eye(4))
 
     def test_different_operators(self):
         a = np.kron(alg.COIN_X, np.eye(2))
         b = np.kron(np.eye(2), alg.COIN_X)
-        assert not alg.oracles_equivalent(a, b)
+        assert not alg.equal_up_to_global_phase(a, b)
 
     def test_dimension_mismatch(self):
         with pytest.raises(wc.DimensionMismatch):
-            alg.oracles_equivalent(np.eye(2), np.eye(4))
+            alg.equal_up_to_global_phase(np.eye(2), np.eye(4))
 
 
 class TestHadamardLayer:
     def test_no_aux_operator(self):
         op = wc.program_operator(alg.hadamard_layer(alg.NO_AUX), alg.LINE2)
-        assert alg.oracles_equivalent(op, np.kron(H, H))
+        assert alg.equal_up_to_global_phase(op, np.kron(H, H))
 
     def test_no_aux_position_only(self):
         op = wc.program_operator(
             alg.hadamard_layer(alg.NO_AUX, include_coin=False), alg.LINE2
         )
-        assert alg.oracles_equivalent(op, np.kron(np.eye(2), H))
+        assert alg.equal_up_to_global_phase(op, np.kron(np.eye(2), H))
 
     def test_with_aux_operator(self):
         op = wc.program_operator(alg.hadamard_layer(alg.WITH_AUX), alg.CYCLE4)
         target = np.kron(H, gray_position_matrix(np.kron(H, H)))
-        assert alg.oracles_equivalent(op, target)
+        assert alg.equal_up_to_global_phase(op, target)
 
     def test_with_aux_position_only(self):
         op = wc.program_operator(
             alg.hadamard_layer(alg.WITH_AUX, include_coin=False), alg.CYCLE4
         )
         target = np.kron(np.eye(2), gray_position_matrix(np.kron(H, H)))
-        assert alg.oracles_equivalent(op, target)
+        assert alg.equal_up_to_global_phase(op, target)
 
     def test_involution(self):
         for scheme in alg.SCHEMES:
             topo = alg.scheme_topology(scheme)
             op = wc.program_operator(alg.hadamard_layer(scheme), topo)
-            assert alg.oracles_equivalent(op @ op, np.eye(topo.dim))
+            assert alg.equal_up_to_global_phase(op @ op, np.eye(topo.dim))
 
     def test_no_aux_uniform_superposition(self):
         state = wc.run_program(

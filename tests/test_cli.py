@@ -63,6 +63,16 @@ class TestDJ:
         assert out == ""
         assert "entries must be 0 or 1" in err
 
+    @pytest.mark.parametrize("n", [2.5, "2", True], ids=["fraction", "string", "bool"])
+    def test_table_non_int_n_exit_1(self, capsys, tmp_path, n):
+        table = tmp_path / "t.json"
+        table.write_text(json.dumps({"n": n, "table": [0, 0, 1, 1]}))
+        code, out, err = run(capsys, "dj", "--table", str(table))
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "n must be an int" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "dj", "--function", "ii", "--format", "json")
         blob = json.loads(out)
@@ -125,6 +135,30 @@ class TestVerify:
         assert code == 3
         assert "photonic-fidelity: FAIL" in out
         assert "first failure" in err
+
+    def test_json_format(self, capsys):
+        code, out, err = run(capsys, "verify", "--format", "json")
+        assert code == 0
+        assert err == ""
+        blob = json.loads(out)
+        assert blob["command"] == "verify"
+        assert [r["suite"] for r in blob["results"]] == [n for n, _ in cli.ALL_SUITES]
+        assert all(r["passed"] is True and r["message"] == "" for r in blob["results"])
+
+    def test_json_format_reports_failure(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--suite", "photonic-fidelity",
+            "--perturb", "hwp=0.01", "--format", "json",
+        )
+        message = "photonic/walk mismatch for i/with-aux"
+        assert code == 3
+        assert json.loads(out) == {
+            "command": "verify",
+            "results": [
+                {"suite": "photonic-fidelity", "passed": False, "message": message}
+            ],
+        }
+        assert err == f"first failure: photonic-fidelity: {message}\n"
 
     def test_unknown_perturb_key_exit_1(self, capsys):
         code, out, err = run(capsys, "verify", "--perturb", "bs=0.5")

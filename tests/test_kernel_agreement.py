@@ -130,7 +130,9 @@ def test_simulate_photonic_matches_circuit_operator(n_modes):
     for _ in range(25):
         circuit = random_circuit(rng, n_modes, int(rng.integers(1, 8)))
         kinds |= {comp.kind for stage in circuit.stages for comp in stage}
-        state = ph.PhotonState(n_modes, random_state(rng, 2 * n_modes))
+        state = WalkState(
+            Topology(wc.CLOSED_CYCLE, n_modes), random_state(rng, 2 * n_modes)
+        )
         simulated = ph.simulate_photonic(circuit, state).amplitudes
         operated = ph.circuit_operator(circuit) @ state.amplitudes
         assert np.max(np.abs(simulated - operated)) <= 1e-12

@@ -45,7 +45,7 @@ class TestBeamSplitter:
 
     def test_even_split(self):
         m = ph.component_matrix(ph.BeamSplitter(0, 1), 2)
-        out = m @ ph.PhotonState.basis(2, 0, 0).amplitudes
+        out = m @ wc.WalkState.basis(alg.LINE2, 0, 0).amplitudes
         probs = np.abs(out) ** 2
         assert probs[0] == pytest.approx(0.5)
         assert probs[1] == pytest.approx(0.5)
@@ -60,24 +60,24 @@ class TestBeamSplitter:
 class TestPBS:
     def test_h_transmitted(self):
         m = ph.component_matrix(ph.pbs(0, 1), 2)
-        out = m @ ph.PhotonState.basis(2, 0, 0).amplitudes
-        np.testing.assert_allclose(out, ph.PhotonState.basis(2, 0, 0).amplitudes)
+        out = m @ wc.WalkState.basis(alg.LINE2, 0, 0).amplitudes
+        np.testing.assert_allclose(out, wc.WalkState.basis(alg.LINE2, 0, 0).amplitudes)
 
     def test_v_routed(self):
         m = ph.component_matrix(ph.pbs(0, 1), 2)
-        out = m @ ph.PhotonState.basis(2, 1, 0).amplitudes
-        np.testing.assert_allclose(out, ph.PhotonState.basis(2, 1, 1).amplitudes)
+        out = m @ wc.WalkState.basis(alg.LINE2, 1, 0).amplitudes
+        np.testing.assert_allclose(out, wc.WalkState.basis(alg.LINE2, 1, 1).amplitudes)
 
     def test_superposition_and_unitarity(self):
         m = ph.component_matrix(ph.pbs(0, 1), 2)
         inp = (
-            ph.PhotonState.basis(2, 0, 0).amplitudes
-            + ph.PhotonState.basis(2, 1, 0).amplitudes
+            wc.WalkState.basis(alg.LINE2, 0, 0).amplitudes
+            + wc.WalkState.basis(alg.LINE2, 1, 0).amplitudes
         ) / np.sqrt(2)
         out = m @ inp
         expected = (
-            ph.PhotonState.basis(2, 0, 0).amplitudes
-            + ph.PhotonState.basis(2, 1, 1).amplitudes
+            wc.WalkState.basis(alg.LINE2, 0, 0).amplitudes
+            + wc.WalkState.basis(alg.LINE2, 1, 1).amplitudes
         ) / np.sqrt(2)
         np.testing.assert_allclose(out, expected)
         assert np.max(np.abs(m.conj().T @ m - np.eye(4))) <= 1e-12
@@ -125,29 +125,50 @@ class TestCompile:
         prog = alg.build_dj_program(f, scheme)
         circuit = ph.compile(prog, scheme)
         walk_op = wc.program_operator(prog, alg.scheme_topology(scheme))
-        assert alg.oracles_equivalent(ph.circuit_operator(circuit), walk_op, tol=1e-9)
+        assert alg.equal_up_to_global_phase(ph.circuit_operator(circuit), walk_op, tol=1e-9)
 
 
 class TestSimulate:
     def test_empty_circuit(self):
         circuit = ph.PhotonicCircuit(2, ())
-        state = ph.PhotonState.basis(2, 1, 1)
+        state = wc.WalkState.basis(alg.LINE2, 1, 1)
         out = ph.simulate_photonic(circuit, state)
         np.testing.assert_allclose(out.amplitudes, state.amplitudes)
 
     def test_hwp_flips_polarization(self):
         circuit = ph.PhotonicCircuit(2, ((ph.HWP(np.pi / 4, 0),),))
-        out = ph.simulate_photonic(circuit, ph.PhotonState.basis(2, 0, 0))
+        out = ph.simulate_photonic(circuit, wc.WalkState.basis(alg.LINE2, 0, 0))
         np.testing.assert_allclose(
-            out.amplitudes, ph.PhotonState.basis(2, 1, 0).amplitudes, atol=1e-12
+            out.amplitudes, wc.WalkState.basis(alg.LINE2, 1, 0).amplitudes, atol=1e-12
         )
 
     def test_dj_no_aux_constant(self):
         f = dict(alg.two_bit_catalogue())["i"]
         circuit = ph.compile(alg.build_dj_program(f, alg.NO_AUX), alg.NO_AUX)
-        out = ph.simulate_photonic(circuit, ph.PhotonState.basis(2, 0, 0))
+        out = ph.simulate_photonic(circuit, wc.WalkState.basis(alg.LINE2, 0, 0))
         probs = np.abs(out.amplitudes) ** 2
         assert probs[0] == pytest.approx(1.0, abs=1e-10)
+
+    def test_unnormalised_state_matches_circuit_operator(self):
+        circuit = ph.PhotonicCircuit(
+            2, ((ph.BeamSplitter(0, 1),), (ph.HWP(np.pi / 8, 0), ph.PhaseShifter(0.3, 1)))
+        )
+        amps = 2 * wc.WalkState.basis(alg.LINE2, 0, 0).amplitudes
+        out = ph.simulate_photonic(circuit, wc.WalkState(alg.LINE2, amps))
+        np.testing.assert_allclose(
+            out.amplitudes, ph.circuit_operator(circuit) @ amps, atol=1e-12
+        )
+
+    def test_size_mismatch_raises_value_error(self):
+        circuit = ph.PhotonicCircuit(4, ())
+        with pytest.raises(ValueError, match="mode counts differ"):
+            ph.simulate_photonic(circuit, wc.WalkState.basis(alg.LINE2, 0, 0))
+
+    def test_output_feeds_walk_measurements(self):
+        f = dict(alg.two_bit_catalogue())["i"]
+        circuit = ph.compile(alg.build_dj_program(f, alg.WITH_AUX), alg.WITH_AUX)
+        out = ph.simulate_photonic(circuit, wc.WalkState.basis(alg.CYCLE4, 0, 0))
+        assert wc.measure_position(out)[0] == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("scheme", alg.SCHEMES)
     @pytest.mark.parametrize("name,f", all_cases())
@@ -155,7 +176,7 @@ class TestSimulate:
         prog = alg.build_dj_program(f, scheme)
         circuit = ph.compile(prog, scheme)
         photon = ph.simulate_photonic(
-            circuit, ph.PhotonState.basis(circuit.n_modes, 0, 0)
+            circuit, wc.WalkState.basis(alg.scheme_topology(scheme), 0, 0)
         )
         walk = wc.run_program(
             wc.WalkState.basis(alg.scheme_topology(scheme), 0, 0), prog

@@ -125,6 +125,23 @@ class TestApplyStep:
         expected = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
         np.testing.assert_allclose(out.amplitudes, expected)
 
+    @pytest.mark.parametrize("position", [7, 4, -1])
+    def test_rejects_coin_position_off_the_graph(self, position):
+        state = WalkState.basis(CYCLE4, 0, 0)
+        step = WalkStep({position: np.eye(2)})
+        with pytest.raises(wc.WalkError, match=f"step 0: coin position {position}.* 4"):
+            wc.apply_step(state, step)
+        with pytest.raises(wc.WalkError, match=f"step 1: coin position {position}.* 4"):
+            wc.run_program(state, [WalkStep(), step])
+
+    @pytest.mark.parametrize("position", [7, 4, -1])
+    def test_operator_rejects_coin_position_off_the_graph(self, position):
+        step = WalkStep({position: np.eye(2)})
+        with pytest.raises(wc.WalkError, match=f"coin position {position}.* 4"):
+            wc.step_operator(step, CYCLE4)
+        with pytest.raises(wc.WalkError, match=f"coin position {position}.* 4"):
+            wc.program_operator([WalkStep(), step], CYCLE4)
+
     def test_norm_preserved_random(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
