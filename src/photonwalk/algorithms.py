@@ -369,6 +369,20 @@ def _dj_fixed_layers(scheme: str) -> tuple:
     return entering, suffix
 
 
+@functools.lru_cache(maxsize=None)
+def _dj_prefix_operator(scheme: str) -> np.ndarray:
+    """Read-only operator of the steps before the oracle, built once per scheme."""
+    prefix = program_operator(_dj_prefix(scheme), scheme_topology(scheme))
+    prefix.setflags(write=False)
+    return prefix
+
+
+def _dj_operator(f: BooleanFn, scheme: str) -> np.ndarray:
+    """Operator of ``build_dj_program(f, scheme)``; only the oracle's is built per call."""
+    oracle = program_operator(_dj_oracle(f, scheme), scheme_topology(scheme))
+    return _dj_fixed_layers(scheme)[1] @ oracle @ _dj_prefix_operator(scheme)
+
+
 def _dj_final_state(f: BooleanFn, scheme: str) -> WalkState:
     """Final state of ``build_dj_program(f, scheme)`` run from basis (0, 0).
 

@@ -175,14 +175,17 @@ def cmd_bv(args) -> int:
 # --- verification suites ------------------------------------------------
 
 def _suite_coin_unitarity(perturb):
-    rng = np.random.default_rng(20240917)
-    for _ in range(1000):
-        p, q, r, t = rng.uniform(-2 * np.pi, 2 * np.pi, size=4)
-        m = wc.build_coin(wc.CoinParams(p, q, r, t))
-        dev = np.max(np.abs(m.conj().T @ m - np.eye(2)))
-        assert dev <= wc.MATCH_TOL, f"coin unitarity deviation {dev:.3e}"
-        det = np.linalg.det(m)
-        assert abs(det - np.exp(2j * p)) <= wc.MATCH_TOL, "coin determinant != e^{2ip}"
+    # One draw of all rows gives the same stream as 1000 draws of size 4.
+    angles = np.random.default_rng(20240917).uniform(-2 * np.pi, 2 * np.pi, size=(1000, 4))
+    coins = np.array([wc.build_coin(wc.CoinParams(*row)) for row in angles])
+    devs = np.max(np.abs(coins.conj().transpose(0, 2, 1) @ coins - np.eye(2)), axis=(1, 2))
+    det_devs = np.abs(np.linalg.det(coins) - np.exp(2j * angles[:, 0]))
+    # Written as "not within", so a NaN deviation fails too.
+    bad = np.flatnonzero(~((devs <= wc.MATCH_TOL) & (det_devs <= wc.MATCH_TOL)))
+    assert not bad.size, (
+        f"coin {bad[0]}: unitarity deviation {devs[bad[0]]:.3e}, determinant "
+        f"deviation from e^{{2ip}} {det_devs[bad[0]]:.3e} (tolerance {wc.MATCH_TOL:.0e})"
+    )
 
 
 def _suite_shift_structure(perturb):
@@ -302,14 +305,13 @@ def _suite_photonic_fidelity(perturb):
         for scheme in alg.SCHEMES:
             prog = alg.build_dj_program(f, scheme)
             circ = _perturbed(ph.compile(prog, scheme), perturb)
-            topo = alg.scheme_topology(scheme)
             assert alg.equal_up_to_global_phase(
-                ph.circuit_operator(circ), wc.program_operator(prog, topo),
+                ph.circuit_operator(circ), alg._dj_operator(f, scheme),
                 tol=wc.FIDELITY_TOL,
             ), f"photonic/walk mismatch for {name}/{scheme}"
-            start = wc.WalkState.basis(topo, 0, 0)
+            start = wc.WalkState.basis(alg.scheme_topology(scheme), 0, 0)
             probs = wc.measure_joint(ph.simulate_photonic(circ, start))
-            walk_probs = wc.measure_joint(wc.run_program(start, prog))
+            walk_probs = wc.measure_joint(alg._dj_final_state(f, scheme))
             assert np.max(np.abs(probs - walk_probs)) <= wc.FIDELITY_TOL, (
                 f"photonic probabilities drifted for {name}/{scheme}"
             )

@@ -11,13 +11,22 @@ permuters are path relabelings and never count as physical components.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from numbers import Number
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import algorithms as alg
-from .walk_core import FIDELITY_TOL, MATCH_TOL, NORM_TOL, WalkState, program_operator
+from .walk_core import (
+    FIDELITY_TOL,
+    MATCH_TOL,
+    NORM_TOL,
+    Topology,
+    WalkState,
+    program_operator,
+)
 
 
 class CompileError(Exception):
@@ -115,6 +124,13 @@ class PhotonicCircuit:
                 modes = _component_modes(comp)
                 if any(m < 0 or m >= self.n_modes for m in modes):
                     raise ValueError(f"component references mode >= {self.n_modes}")
+                if isinstance(comp, ModePermuter) and sorted(
+                    comp.permutation
+                ) != list(range(self.n_modes)):
+                    raise ValueError(
+                        f"mode permuter {comp.permutation} is not a permutation "
+                        f"of {self.n_modes} modes"
+                    )
                 if not isinstance(comp, ModePermuter) and seen & modes:
                     raise ValueError("stage components must act on disjoint modes")
                 seen |= modes
@@ -218,6 +234,53 @@ def _position_hadamard_stages(n_modes: int) -> list:
     ]
 
 
+def _content(x) -> tuple:
+    """Hashable value of a number or array, with its type (so 1, 1.0 and True differ)."""
+    if isinstance(x, np.ndarray) or not isinstance(x, Number):
+        a = np.asarray(x)
+        entries = tuple(a.ravel().tolist()) if a.dtype.hasobject else a.tobytes()
+        return type(x), a.dtype.str, a.shape, entries
+    return type(x), x
+
+
+def _block_key(steps: Sequence) -> tuple:
+    """Everything ``evolve`` reads from the steps, by value; never object identity."""
+    return tuple(
+        (
+            step.tag,
+            step.shift and (_content(step.shift.coin), _content(step.shift.direction)),
+            _content(step.global_phase),
+            # Keys are hashable; evolve rejects any that is not an int.
+            tuple((type(pos), pos, _content(coin)) for pos, coin in step.coin_map.items()),
+        )
+        for step in steps
+    )
+
+
+@dataclass(frozen=True)
+class _Block:
+    """A position-Hadamard block, hashed and compared by topology and content."""
+
+    topology: Topology
+    key: tuple
+    steps: list = field(compare=False)
+
+
+@functools.lru_cache(maxsize=32)
+def _block_matches(block: _Block) -> bool:
+    """Whether the block's walk operator equals the beam-splitter butterfly.
+
+    Blocks with equal content give equal operators, so the full comparison
+    runs once per distinct block and process.
+    """
+    n_modes = block.topology.size
+    walk_op = program_operator(block.steps, block.topology)
+    optics = PhotonicCircuit(n_modes, tuple(_position_hadamard_stages(n_modes)))
+    return alg.equal_up_to_global_phase(
+        circuit_operator(optics), walk_op, tol=FIDELITY_TOL
+    )
+
+
 def _readout_metadata(scheme: str, algorithm: str) -> dict:
     if scheme == alg.WITH_AUX and algorithm == "dj":
         return {
@@ -249,7 +312,8 @@ def compile(program: Sequence, scheme: str, algorithm: str = "dj") -> PhotonicCi
 
     Position-dependent coins become per-mode HWPs or phase shifters;
     position-Hadamard blocks become BS stages.  The compiled operator is
-    checked against the walk operator block by block.
+    checked against the walk operator block by block; a position-Hadamard
+    block is checked once per distinct content and process (``_block_matches``).
     """
     if scheme not in alg.SCHEMES:
         raise ValueError(f"unknown scheme: {scheme!r}")
@@ -264,14 +328,12 @@ def compile(program: Sequence, scheme: str, algorithm: str = "dj") -> PhotonicCi
             j = i
             while j < len(steps) and steps[j].tag == alg.TAG_POSITION_HADAMARD:
                 j += 1
-            block = _position_hadamard_stages(n_modes)
-            walk_op = program_operator(steps[i:j], topo)
-            optic_op = circuit_operator(PhotonicCircuit(n_modes, tuple(block)))
-            if not alg.equal_up_to_global_phase(optic_op, walk_op, tol=FIDELITY_TOL):
+            block = steps[i:j]
+            if not _block_matches(_Block(topo, _block_key(block), block)):
                 raise CompileError(
                     "position-Hadamard block does not match its walk segment"
                 )
-            stages.extend(block)
+            stages.extend(_position_hadamard_stages(n_modes))
             i = j
             continue
         if step.shift is not None:

@@ -178,16 +178,23 @@ def _check_unitary(m: np.ndarray) -> None:
         raise WalkError(f"operator is not unitary (max deviation {dev:.3e})")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def evolve(amps: np.ndarray, step: WalkStep) -> None:
     """Apply one step in place to ``amps``, a (2, size, ...) coin x position view.
 
     The state path passes one vector; the operator path passes the identity
-    columns, shape (2, size, 2 * size).  A coin position outside ``[0, size)``
-    raises WalkError; no boundary or norm check is made.
+    columns, shape (2, size, 2 * size).  A coin position that is not an int
+    (``bool`` included) or lies outside ``[0, size)`` raises WalkError; no
+    boundary or norm check is made.
     """
     size = amps.shape[1]
-    bad = [l for l in step.coin_map if not 0 <= l < size]
+    bad = [l for l in step.coin_map if not (_is_int(l) and 0 <= l < size)]
     if bad:
+        if not _is_int(bad[0]):
+            raise WalkError(f"coin position {bad[0]!r} is not an int")
         raise WalkError(f"coin position {bad[0]} outside a topology of size {size}")
     for l in range(size):
         c = step.coin_map.get(l)

@@ -202,6 +202,19 @@ class TestCounts:
         with pytest.raises(ValueError):
             ph.PhotonicCircuit(2, ((ph.HWP(0.0, 0), ph.PhaseShifter(0.1, 0)),))
 
+    @pytest.mark.parametrize(
+        "perm", [(0, 0, 1, 2), (0, 1), (3, 2, 1)], ids=["repeat", "short", "short-reversed"]
+    )
+    def test_mode_permuter_must_permute_every_mode(self, perm):
+        with pytest.raises(ValueError, match="not a permutation of 4 modes"):
+            ph.PhotonicCircuit(4, ((ph.ModePermuter(perm),),))
+
+    @pytest.mark.parametrize("perm", [(0, 2, 3, 1), (0, 3, 1, 2)])
+    def test_compiler_permuters_are_valid(self, perm):
+        circuit = ph.PhotonicCircuit(4, ((ph.ModePermuter(perm),),))
+        m = ph.circuit_operator(circuit)
+        assert np.max(np.abs(m.conj().T @ m - np.eye(8))) <= wc.MATCH_TOL
+
 
 class TestResourceReport:
     def test_bv_subset_rows(self):

@@ -1,0 +1,128 @@
+"""The verify gate's per-process caches: compile's position-Hadamard check, the
+fixed DJ operators of the photonic-fidelity suite, and the batched coin suite."""
+
+import numpy as np
+import pytest
+
+from photonwalk import algorithms as alg
+from photonwalk import cli
+from photonwalk import photonic as ph
+from photonwalk import walk_core as wc
+
+CASES = [(name, f) for name, f in alg.two_bit_catalogue()]
+CASES += [(f"bv {s}", alg.hidden_string_fn(s)) for s, _ in alg.BV_STRINGS]
+VII = dict(alg.two_bit_catalogue())["vii"]
+
+
+@pytest.mark.parametrize("scheme", alg.SCHEMES)
+@pytest.mark.parametrize("name,f", CASES, ids=[name for name, _ in CASES])
+def test_composed_operator_equals_full_program(name, f, scheme):
+    want = wc.program_operator(alg.build_dj_program(f, scheme), alg.scheme_topology(scheme))
+    assert np.max(np.abs(alg._dj_operator(f, scheme) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", alg.SCHEMES)
+def test_prefix_operator_is_cached_and_read_only(scheme):
+    prefix = alg._dj_prefix_operator(scheme)
+    assert prefix is alg._dj_prefix_operator(scheme)
+    with pytest.raises(ValueError):
+        prefix[0, 0] = 0.0
+
+
+def test_block_memo_is_bounded():
+    assert ph._block_matches.cache_info().maxsize == 32
+
+
+def first_block(program):
+    """Indices of the first run of position-Hadamard steps."""
+    tags = [s.tag for s in program]
+    i = tags.index(alg.TAG_POSITION_HADAMARD)
+    j = i
+    while tags[j] == alg.TAG_POSITION_HADAMARD:
+        j += 1
+    return i, j
+
+
+def with_coin(step, pos, coin):
+    return wc.WalkStep({**step.coin_map, pos: coin}, step.shift, step.global_phase, step.tag)
+
+
+@pytest.mark.parametrize("scheme", alg.SCHEMES)
+def test_block_with_one_coin_changed_raises_after_canonical_compile(scheme):
+    program = alg.build_dj_program(VII, scheme)
+    ph.compile(program, scheme)
+    i, j = first_block(program)
+    k = next(k for k in range(i, j) if program[k].coin_map)
+    pos = next(iter(program[k].coin_map))
+    altered = list(program)
+    altered[k] = with_coin(program[k], pos, alg.COIN_PHASE_FLIP_1)
+    with pytest.raises(ph.CompileError, match="position-Hadamard block"):
+        ph.compile(altered, scheme)
+    ph.compile(program, scheme)
+
+
+@pytest.mark.parametrize("scheme", alg.SCHEMES)
+def test_coin_mutated_in_place_after_compile_raises(scheme):
+    program = alg.build_dj_program(VII, scheme)
+    i, j = first_block(program)
+    k = next(k for k in range(i, j) if program[k].coin_map)
+    pos = next(iter(program[k].coin_map))
+    program[k] = with_coin(program[k], pos, program[k].coin_map[pos].copy())
+    ph.compile(program, scheme)
+    program[k].coin_map[pos][...] = alg.COIN_PHASE_FLIP_1
+    with pytest.raises(ph.CompileError, match="position-Hadamard block"):
+        ph.compile(program, scheme)
+
+
+@pytest.mark.parametrize("key", [2.0, True], ids=["float", "bool"])
+def test_block_key_tells_an_int_position_from_an_equal_non_int(key):
+    # {2: X} and {2.0: X} hash alike, but evolve rejects the second.
+    program = alg.build_dj_program(VII, alg.WITH_AUX)
+    ph.compile(program, alg.WITH_AUX)
+    i, j = first_block(program)
+    k = next(k for k in range(i, j) if int(key) in program[k].coin_map)
+    coins = dict(program[k].coin_map)
+    coins[key] = coins.pop(int(key))
+    program[k] = wc.WalkStep(coins, program[k].shift, program[k].global_phase, program[k].tag)
+    with pytest.raises(wc.WalkError, match="is not an int"):
+        ph.compile(program, alg.WITH_AUX)
+
+
+def test_verify_then_fault_injection_in_one_process(capsys):
+    assert cli.main(["verify"]) == cli.EXIT_OK
+    capsys.readouterr()
+    code = cli.main(["verify", "--suite", "photonic-fidelity", "--perturb", "hwp=0.01"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VERIFY
+    message = "photonic/walk mismatch for i/with-aux"
+    assert captured.out == f"photonic-fidelity: FAIL -- {message}\n"
+    assert captured.err == f"first failure: photonic-fidelity: {message}\n"
+
+
+def test_coin_suite_draws_the_per_call_rows(monkeypatch):
+    rng = np.random.default_rng(20240917)
+    want = [tuple(rng.uniform(-2 * np.pi, 2 * np.pi, size=4)) for _ in range(1000)]
+    seen = []
+    build_coin = wc.build_coin
+
+    def recording_build_coin(params):
+        seen.append((params.p, params.q, params.r, params.theta))
+        return build_coin(params)
+
+    monkeypatch.setattr(cli.wc, "build_coin", recording_build_coin)
+    cli._suite_coin_unitarity({})
+    assert seen == want
+
+
+def test_coin_suite_names_the_first_failing_coin(monkeypatch):
+    calls = []
+    build_coin = wc.build_coin
+
+    def skewed(params):
+        calls.append(params)
+        m = build_coin(params)
+        return m * (1 + 1e-9) if len(calls) in (7, 9) else m
+
+    monkeypatch.setattr(cli.wc, "build_coin", skewed)
+    with pytest.raises(AssertionError, match=r"coin 6: unitarity deviation .*tolerance 1e-12"):
+        cli._suite_coin_unitarity({})

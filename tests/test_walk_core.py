@@ -142,6 +142,26 @@ class TestApplyStep:
         with pytest.raises(wc.WalkError, match=f"coin position {position}.* 4"):
             wc.program_operator([WalkStep(), step], CYCLE4)
 
+    @pytest.mark.parametrize(
+        "position", [2.0, True, np.float64(1.0), np.bool_(True), "1"],
+        ids=["float", "bool", "np-float", "np-bool", "str"],
+    )
+    def test_rejects_coin_position_that_is_not_an_int(self, position):
+        state = WalkState.basis(CYCLE4, 0, 2)
+        step = WalkStep({position: X})
+        with pytest.raises(wc.WalkError, match="step 0: coin position .* is not an int"):
+            wc.apply_step(state, step)
+        with pytest.raises(wc.WalkError, match="step 1: coin position .* is not an int"):
+            wc.run_program(state, [WalkStep(), step])
+        with pytest.raises(wc.WalkError, match="coin position .* is not an int"):
+            wc.step_operator(step, CYCLE4)
+        with pytest.raises(wc.WalkError, match="coin position .* is not an int"):
+            wc.program_operator([WalkStep(), step], CYCLE4)
+
+    def test_numpy_int_coin_position_is_an_int(self):
+        out = wc.apply_step(WalkState.basis(CYCLE4, 0, 2), WalkStep({np.int64(2): X}))
+        np.testing.assert_array_equal(out.amplitudes, WalkState.basis(CYCLE4, 1, 2).amplitudes)
+
     def test_norm_preserved_random(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
