@@ -312,29 +312,31 @@ class DJOutcome:
         return FnClass.CONSTANT if self.p_all_zero > 0.5 else FnClass.BALANCED
 
 
-def _dj_prefix(scheme: str) -> list:
+@functools.lru_cache(maxsize=None)
+def _dj_prefix(scheme: str) -> tuple:
     """Steps before the oracle: state preparation and the first H layer."""
     if scheme == WITH_AUX:
-        return [WalkStep({0: COIN_X}, tag=TAG_PREP)] + hadamard_layer(WITH_AUX)
+        return (WalkStep({0: COIN_X}, tag=TAG_PREP), *hadamard_layer(WITH_AUX))
     if scheme == NO_AUX:
-        return hadamard_layer(NO_AUX)
+        return tuple(hadamard_layer(NO_AUX))
     raise ValueError(f"unknown scheme: {scheme!r}")
 
 
-def _dj_oracle(f: BooleanFn, scheme: str) -> list:
+def _dj_oracle(f: BooleanFn, scheme: str) -> tuple:
     """The oracle step, the only part of a run that depends on f."""
     build = build_oracle_with_aux if scheme == WITH_AUX else build_oracle_no_aux
-    return list(build(f).steps)
+    return build(f).steps
 
 
-def _dj_suffix(scheme: str) -> list:
+@functools.lru_cache(maxsize=None)
+def _dj_suffix(scheme: str) -> tuple:
     """Steps after the oracle: the final H layer (with-aux leaves the coin alone)."""
-    return hadamard_layer(scheme, include_coin=scheme == NO_AUX)
+    return tuple(hadamard_layer(scheme, include_coin=scheme == NO_AUX))
 
 
 def build_dj_program(f: BooleanFn, scheme: str) -> list:
-    """Full walk program for one Deutsch-Jozsa run (prep through final layer)."""
-    return _dj_prefix(scheme) + _dj_oracle(f, scheme) + _dj_suffix(scheme)
+    """Full walk program for one Deutsch-Jozsa run, as a new list of shared steps."""
+    return [*_dj_prefix(scheme), *_dj_oracle(f, scheme), *_dj_suffix(scheme)]
 
 
 def scheme_topology(scheme: str) -> Topology:
@@ -392,7 +394,7 @@ def _dj_final_state(f: BooleanFn, scheme: str) -> WalkState:
     entering, suffix = _dj_fixed_layers(scheme)
     queried = run_program(entering, _dj_oracle(f, scheme))
     amps = suffix @ queried.amplitudes
-    if abs(np.linalg.norm(amps) - queried.norm()) > NORM_TOL:
+    if not abs(np.linalg.norm(amps) - queried.norm()) <= NORM_TOL:  # NaN fails
         raise WalkError("final H layer did not preserve the state norm")
     return WalkState(entering.topology, amps)
 
@@ -508,4 +510,4 @@ def brute_force_p_all_zero(scheme: str, f: BooleanFn) -> float:
 
 def oracle_operator(oracle: Oracle) -> np.ndarray:
     """Induced full-space operator of an oracle's walk steps."""
-    return program_operator(list(oracle.steps), scheme_topology(oracle.scheme))
+    return program_operator(oracle.steps, scheme_topology(oracle.scheme))

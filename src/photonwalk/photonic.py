@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from numbers import Number
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -194,7 +193,7 @@ def simulate_photonic(circuit: PhotonicCircuit, state: WalkState) -> WalkState:
     for stage in circuit.stages:
         for comp in stage:
             _apply_component(view, comp)
-        if abs(np.linalg.norm(amps) - norm) > NORM_TOL:
+        if not abs(np.linalg.norm(amps) - norm) <= NORM_TOL:  # NaN fails
             raise ValueError("stage did not preserve the state norm")
     return WalkState(state.topology, amps)
 
@@ -211,7 +210,6 @@ _LOWERINGS = (
 
 
 def _lower_coin(coin: np.ndarray, mode: int) -> Optional[Component]:
-    coin = np.asarray(coin, dtype=complex)
     for pattern, factory in _LOWERINGS:
         if np.max(np.abs(coin - pattern)) <= MATCH_TOL:
             return None if factory is None else factory(mode)
@@ -234,47 +232,15 @@ def _position_hadamard_stages(n_modes: int) -> list:
     ]
 
 
-def _content(x) -> tuple:
-    """Hashable value of a number or array, with its type (so 1, 1.0 and True differ)."""
-    if isinstance(x, np.ndarray) or not isinstance(x, Number):
-        a = np.asarray(x)
-        entries = tuple(a.ravel().tolist()) if a.dtype.hasobject else a.tobytes()
-        return type(x), a.dtype.str, a.shape, entries
-    return type(x), x
-
-
-def _block_key(steps: Sequence) -> tuple:
-    """Everything ``evolve`` reads from the steps, by value; never object identity."""
-    return tuple(
-        (
-            step.tag,
-            step.shift and (_content(step.shift.coin), _content(step.shift.direction)),
-            _content(step.global_phase),
-            # Keys are hashable; evolve rejects any that is not an int.
-            tuple((type(pos), pos, _content(coin)) for pos, coin in step.coin_map.items()),
-        )
-        for step in steps
-    )
-
-
-@dataclass(frozen=True)
-class _Block:
-    """A position-Hadamard block, hashed and compared by topology and content."""
-
-    topology: Topology
-    key: tuple
-    steps: list = field(compare=False)
-
-
 @functools.lru_cache(maxsize=32)
-def _block_matches(block: _Block) -> bool:
+def _block_matches(topology: Topology, block: tuple) -> bool:
     """Whether the block's walk operator equals the beam-splitter butterfly.
 
-    Blocks with equal content give equal operators, so the full comparison
-    runs once per distinct block and process.
+    Steps are values, so blocks with equal content give equal operators and
+    the full comparison runs once per distinct block and process.
     """
-    n_modes = block.topology.size
-    walk_op = program_operator(block.steps, block.topology)
+    n_modes = topology.size
+    walk_op = program_operator(block, topology)
     optics = PhotonicCircuit(n_modes, tuple(_position_hadamard_stages(n_modes)))
     return alg.equal_up_to_global_phase(
         circuit_operator(optics), walk_op, tol=FIDELITY_TOL
@@ -328,8 +294,7 @@ def compile(program: Sequence, scheme: str, algorithm: str = "dj") -> PhotonicCi
             j = i
             while j < len(steps) and steps[j].tag == alg.TAG_POSITION_HADAMARD:
                 j += 1
-            block = steps[i:j]
-            if not _block_matches(_Block(topo, _block_key(block), block)):
+            if not _block_matches(topo, tuple(steps[i:j])):
                 raise CompileError(
                     "position-Hadamard block does not match its walk segment"
                 )

@@ -9,6 +9,7 @@ shares that convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -81,6 +82,10 @@ class Topology:
         return 2 * self.size
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Shift:
     """Coin-conditioned position move: direction +1 (right) or -1 (left)."""
@@ -89,9 +94,10 @@ class Shift:
     direction: int
 
     def __post_init__(self) -> None:
-        if self.coin not in (0, 1):
+        # bool and float labels compare equal to 0 and 1 but do not index a row.
+        if not (_is_int(self.coin) and self.coin in (0, 1)):
             raise ValueError("shift coin label must be 0 or 1")
-        if self.direction not in (-1, 1):
+        if not (_is_int(self.direction) and self.direction in (-1, 1)):
             raise ValueError("shift direction must be +1 or -1")
 
 
@@ -126,19 +132,40 @@ def build_shift(shift: Shift, topology: Topology) -> np.ndarray:
     return step_operator(WalkStep(shift=shift), topology)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkStep:
     """One evolution step: position-dependent coin, optional shift, phase.
 
     ``coin_map`` assigns a 2x2 unitary to position indices; missing positions
     default to identity.  ``tag`` is a structural label consumed by the
-    photonic compiler (e.g. marking a position-Hadamard block).
+    photonic compiler (e.g. marking a position-Hadamard block).  A step is a
+    value: it holds read-only copies of the coins and compares by content,
+    positions with their type (``{2: X}`` and ``{2.0: X}`` differ).  Nothing
+    is checked here; ``evolve`` rejects a bad step when it runs.
     """
 
     coin_map: Mapping[int, np.ndarray] = field(default_factory=dict)
     shift: Optional[Shift] = None
     global_phase: float = 0.0
     tag: Optional[str] = None
+    _key: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        coins = {pos: np.array(coin) for pos, coin in self.coin_map.items()}
+        for c in coins.values():
+            c.setflags(write=False)
+        object.__setattr__(self, "coin_map", MappingProxyType(coins))
+        # Coins compare by bytes, so equal blocks built apart compare fast.
+        content = tuple(
+            (type(l), l, c.dtype.str, c.shape, c.tobytes()) for l, c in coins.items()
+        )
+        object.__setattr__(self, "_key", (self.tag, self.shift, self.global_phase, content))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, WalkStep) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
 
 @dataclass(frozen=True)
@@ -174,12 +201,8 @@ class WalkState:
 
 def _check_unitary(m: np.ndarray) -> None:
     dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-    if dev > MATCH_TOL:
+    if not dev <= MATCH_TOL:  # NaN fails
         raise WalkError(f"operator is not unitary (max deviation {dev:.3e})")
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def evolve(amps: np.ndarray, step: WalkStep) -> None:
@@ -187,8 +210,8 @@ def evolve(amps: np.ndarray, step: WalkStep) -> None:
 
     The state path passes one vector; the operator path passes the identity
     columns, shape (2, size, 2 * size).  A coin position that is not an int
-    (``bool`` included) or lies outside ``[0, size)`` raises WalkError; no
-    boundary or norm check is made.
+    (``bool`` included) or lies outside ``[0, size)``, or a coin that is not
+    2x2, raises WalkError; no boundary or norm check is made.
     """
     size = amps.shape[1]
     bad = [l for l in step.coin_map if not (_is_int(l) and 0 <= l < size)]
@@ -196,10 +219,11 @@ def evolve(amps: np.ndarray, step: WalkStep) -> None:
         if not _is_int(bad[0]):
             raise WalkError(f"coin position {bad[0]!r} is not an int")
         raise WalkError(f"coin position {bad[0]} outside a topology of size {size}")
-    for l in range(size):
-        c = step.coin_map.get(l)
-        if c is not None:
-            amps[:, l] = c @ amps[:, l]
+    for l, c in step.coin_map.items():
+        if c.shape != (2, 2):
+            raise WalkError(f"coin at position {l} has shape {c.shape}, not (2, 2)")
+    for l, c in step.coin_map.items():
+        amps[:, l] = c @ amps[:, l]
     if step.shift is not None:
         if size < 2:
             raise ValueError("shift requires at least two positions")
@@ -255,7 +279,7 @@ def run_program(state: WalkState, steps: Sequence[WalkStep]) -> WalkState:
                         f"position {edge[0]}"
                     )
             new_norm = float(np.linalg.norm(amps))
-            if abs(new_norm - norm) > NORM_TOL:
+            if not abs(new_norm - norm) <= NORM_TOL:  # NaN fails
                 raise WalkError("step did not preserve the state norm")
             norm = new_norm
         except WalkError as exc:

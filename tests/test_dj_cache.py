@@ -64,6 +64,20 @@ def test_program_lengths_and_tags_unchanged(scheme):
 
 
 @pytest.mark.parametrize("scheme", alg.SCHEMES)
+def test_fixed_steps_are_built_once_and_programs_are_new_lists(scheme):
+    assert alg._dj_prefix(scheme) is alg._dj_prefix(scheme)
+    assert alg._dj_suffix(scheme) is alg._dj_suffix(scheme)
+    f = dict(alg.two_bit_catalogue())["vii"]
+    first = alg.build_dj_program(f, scheme)
+    want = list(first)
+    first[0] = first[-1] = None
+    first.append(None)
+    second = alg.build_dj_program(f, scheme)
+    assert second is not first and second == want
+    assert second[0] is alg._dj_prefix(scheme)[0]
+
+
+@pytest.mark.parametrize("scheme", alg.SCHEMES)
 def test_cached_values_are_read_only(scheme):
     entering, suffix = alg._dj_fixed_layers(scheme)
     with pytest.raises(ValueError):

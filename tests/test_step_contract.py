@@ -1,0 +1,128 @@
+"""Walk steps as values, and the input checks that hold at run time: shift
+labels, non-finite phases and coins, and coin shape."""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from photonwalk import algorithms as alg
+from photonwalk import photonic as ph
+from photonwalk import walk_core as wc
+from photonwalk.walk_core import Shift, WalkState, WalkStep
+
+CYCLE4 = alg.CYCLE4
+COINS = (
+    alg.COIN_IDENTITY,
+    alg.COIN_X,
+    alg.COIN_PHASE_FLIP_1,
+    alg.COIN_PHASE_FLIP_0,
+    alg.COIN_NEG_IDENTITY,
+    alg.COIN_HADAMARD,
+)
+NAN_COIN = np.array([[np.nan, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "coin,direction",
+    [(True, 1), (np.bool_(True), 1), (1.0, 1)],
+    ids=["bool", "np-bool", "float"],
+)
+def test_shift_rejects_a_coin_label_that_is_not_an_int(coin, direction):
+    with pytest.raises(ValueError, match="shift coin label must be 0 or 1"):
+        Shift(coin, direction)
+
+
+def test_shift_rejects_a_direction_that_is_not_an_int():
+    with pytest.raises(ValueError, match=r"shift direction must be \+1 or -1"):
+        Shift(1, 1.0)
+
+
+def test_shift_accepts_numpy_ints():
+    assert Shift(np.int64(1), np.int64(-1)) == Shift(1, -1)
+
+
+def test_nan_global_phase_raises_on_the_state_path():
+    with pytest.raises(wc.WalkError, match="step 0: step did not preserve the state norm"):
+        wc.apply_step(WalkState.basis(CYCLE4, 0, 0), WalkStep(global_phase=np.nan))
+
+
+def test_nan_coin_raises_on_both_paths():
+    step = WalkStep({0: NAN_COIN})
+    with pytest.raises(wc.WalkError, match="step 0: step did not preserve the state norm"):
+        wc.apply_step(WalkState.basis(CYCLE4, 0, 0), step)
+    with pytest.raises(wc.WalkError, match="not unitary"):
+        wc.step_operator(step, CYCLE4)
+
+
+def test_nan_wave_plate_raises_in_simulate_photonic():
+    circuit = ph.PhotonicCircuit(2, ((ph.HWP(np.nan, 0),),))
+    with pytest.raises(ValueError, match="stage did not preserve the state norm"):
+        ph.simulate_photonic(circuit, WalkState.basis(alg.LINE2, 0, 0))
+
+
+@pytest.mark.parametrize("coin", [np.eye(3), np.array([1.0, 0.0])], ids=["3x3", "vector"])
+def test_coin_that_is_not_2x2_raises_walk_error_on_both_paths(coin):
+    step = WalkStep({0: coin})
+    message = re.escape(f"coin at position 0 has shape {coin.shape}, not (2, 2)")
+    state = WalkState.basis(CYCLE4, 0, 0)
+    with pytest.raises(wc.WalkError, match=f"step 1: {message}"):
+        wc.run_program(state, [WalkStep(), step])
+    with pytest.raises(wc.WalkError, match=message):
+        wc.step_operator(step, CYCLE4)
+    with pytest.raises(wc.WalkError, match=message):
+        wc.program_operator([WalkStep(), step], CYCLE4)
+
+
+def test_step_coins_and_coin_map_are_read_only():
+    step = WalkStep({1: alg.COIN_X.copy()})
+    with pytest.raises(ValueError):
+        step.coin_map[1][0, 0] = 5.0
+    with pytest.raises(TypeError):
+        step.coin_map[2] = alg.COIN_X
+
+
+def test_mutating_the_source_after_construction_leaves_the_step_unchanged():
+    source = alg.COIN_X.copy()
+    step = WalkStep({1: source}, wc.s_plus(1), 0.25, "t")
+    twin = WalkStep({1: alg.COIN_X.copy()}, wc.s_plus(1), 0.25, "t")
+    op = wc.step_operator(step, CYCLE4)
+    source[...] = alg.COIN_PHASE_FLIP_1
+    assert step == twin and hash(step) == hash(twin)
+    np.testing.assert_array_equal(step.coin_map[1], alg.COIN_X)
+    np.testing.assert_array_equal(wc.step_operator(step, CYCLE4), op)
+
+
+def test_steps_compare_positions_with_their_type():
+    assert WalkStep({2: alg.COIN_X}) != WalkStep({2.0: alg.COIN_X})
+    assert WalkStep({2: alg.COIN_X}) != WalkStep({np.int64(2): alg.COIN_X})
+    assert WalkStep({2: alg.COIN_X}) == WalkStep({2: alg.COIN_X.copy()})
+    assert WalkStep() != WalkStep(tag="t")
+
+
+@st.composite
+def steps(draw):
+    coins = draw(st.dictionaries(st.integers(0, 3), st.integers(0, len(COINS) - 1)))
+    as_numpy = draw(st.lists(st.booleans(), min_size=4, max_size=4))
+    coin_map = {(np.int64(l) if as_numpy[l] else l): COINS[k] for l, k in coins.items()}
+    shift = draw(st.none() | st.builds(Shift, st.sampled_from((0, 1)), st.sampled_from((-1, 1))))
+    phase = draw(st.floats(-2 * np.pi, 2 * np.pi))
+    tag = draw(st.sampled_from((None, alg.TAG_ORACLE, alg.TAG_POSITION_HADAMARD)))
+    return WalkStep(coin_map, shift, phase, tag)
+
+
+def rebuilt(step):
+    shift = step.shift and Shift(step.shift.coin, step.shift.direction)
+    coins = {type(l)(l): np.array(c) for l, c in step.coin_map.items()}
+    return WalkStep(coins, shift, float(step.global_phase), step.tag)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps())
+def test_a_rebuilt_step_is_equal_hashes_alike_and_acts_alike(step):
+    copy = rebuilt(step)
+    assert copy is not step
+    assert copy == step and hash(copy) == hash(step)
+    np.testing.assert_array_equal(wc.step_operator(copy, CYCLE4), wc.step_operator(step, CYCLE4))

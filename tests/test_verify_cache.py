@@ -62,16 +62,57 @@ def test_block_with_one_coin_changed_raises_after_canonical_compile(scheme):
 
 
 @pytest.mark.parametrize("scheme", alg.SCHEMES)
-def test_coin_mutated_in_place_after_compile_raises(scheme):
+def test_coin_in_a_compiled_step_cannot_be_written(scheme):
     program = alg.build_dj_program(VII, scheme)
+    ph.compile(program, scheme)
     i, j = first_block(program)
     k = next(k for k in range(i, j) if program[k].coin_map)
     pos = next(iter(program[k].coin_map))
-    program[k] = with_coin(program[k], pos, program[k].coin_map[pos].copy())
+    with pytest.raises(ValueError, match="read-only"):
+        program[k].coin_map[pos][...] = alg.COIN_PHASE_FLIP_1
+    with pytest.raises(TypeError):
+        program[k].coin_map[pos] = alg.COIN_PHASE_FLIP_1
     ph.compile(program, scheme)
-    program[k].coin_map[pos][...] = alg.COIN_PHASE_FLIP_1
+
+
+@pytest.mark.parametrize("scheme", alg.SCHEMES)
+def test_mutating_a_source_coin_after_compile_changes_nothing(scheme):
+    program = alg.build_dj_program(VII, scheme)
+    want = ph.circuit_to_json(ph.compile(program, scheme))
+    i, j = first_block(program)
+    k = next(k for k in range(i, j) if program[k].coin_map)
+    pos = next(iter(program[k].coin_map))
+    source = program[k].coin_map[pos].copy()
+    program[k] = with_coin(program[k], pos, source)
+    op = wc.step_operator(program[k], alg.scheme_topology(scheme))
+    assert ph.circuit_to_json(ph.compile(program, scheme)) == want
+    source[...] = alg.COIN_PHASE_FLIP_1
+    assert program[k] == alg.build_dj_program(VII, scheme)[k]
+    assert np.array_equal(wc.step_operator(program[k], alg.scheme_topology(scheme)), op)
+    assert ph.circuit_to_json(ph.compile(program, scheme)) == want
+
+
+def rebuilt(step):
+    shift = step.shift and wc.Shift(step.shift.coin, step.shift.direction)
+    coins = {pos: coin.copy() for pos, coin in step.coin_map.items()}
+    return wc.WalkStep(coins, shift, step.global_phase, step.tag)
+
+
+@pytest.mark.parametrize("scheme", alg.SCHEMES)
+def test_block_equal_by_value_hits_the_memo(scheme):
+    program = alg.build_dj_program(VII, scheme)
+    ph.compile(program, scheme)
+    copy = [rebuilt(step) for step in program]
+    assert copy == program and all(a is not b for a, b in zip(copy, program))
+    before = ph._block_matches.cache_info()
+    ph.compile(copy, scheme)
+    after = ph._block_matches.cache_info()
+    assert after.hits > before.hits and after.misses == before.misses
+    i, j = first_block(copy)
+    k = next(k for k in range(i, j) if copy[k].coin_map)
+    copy[k] = with_coin(copy[k], next(iter(copy[k].coin_map)), alg.COIN_PHASE_FLIP_1)
     with pytest.raises(ph.CompileError, match="position-Hadamard block"):
-        ph.compile(program, scheme)
+        ph.compile(copy, scheme)
 
 
 @pytest.mark.parametrize("key", [2.0, True], ids=["float", "bool"])
