@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -45,6 +46,15 @@ SCHEMES = (WITH_AUX, NO_AUX)
 
 CYCLE4 = Topology(CLOSED_CYCLE, 4)
 LINE2 = Topology(OPEN_LINE, 2)
+
+
+def scheme_topology(scheme: str) -> Topology:
+    if scheme == WITH_AUX:
+        return CYCLE4
+    if scheme == NO_AUX:
+        return LINE2
+    raise ValueError(f"unknown scheme: {scheme!r}")
+
 
 # Vertex -> working-qubit label around the 4-cycle (Gray code, so a single
 # shift flips a single label bit).
@@ -290,12 +300,8 @@ def _position_hadamard_no_aux() -> list:
 
 def hadamard_layer(scheme: str, include_coin: bool = True) -> list:
     """Walk program applying H to the position qubits and, optionally, the coin."""
-    if scheme == WITH_AUX:
-        size, pos = 4, _position_hadamard_with_aux()
-    elif scheme == NO_AUX:
-        size, pos = 2, _position_hadamard_no_aux()
-    else:
-        raise ValueError(f"unknown scheme: {scheme!r}")
+    size = scheme_topology(scheme).size
+    pos = _position_hadamard_with_aux() if scheme == WITH_AUX else _position_hadamard_no_aux()
     steps = []
     if include_coin:
         steps.append(WalkStep(_uniform(COIN_HADAMARD, size), tag=TAG_COIN_HADAMARD))
@@ -339,64 +345,59 @@ def build_dj_program(f: BooleanFn, scheme: str) -> list:
     return [*_dj_prefix(scheme), *_dj_oracle(f, scheme), *_dj_suffix(scheme)]
 
 
-def scheme_topology(scheme: str) -> Topology:
-    return CYCLE4 if scheme == WITH_AUX else LINE2
-
-
 def dj_pipeline_states(f: BooleanFn, scheme: str) -> list:
-    """(stage name, WalkState) snapshots through the full pipeline."""
-    topo = scheme_topology(scheme)
-    state = WalkState.basis(topo, 0, 0)
+    """(stage name, WalkState) snapshots through the full pipeline, one per tag run."""
+    state = WalkState.basis(scheme_topology(scheme), 0, 0)
     snapshots = [("initial", state)]
-    steps = build_dj_program(f, scheme)
-    boundaries = []
-    for i, step in enumerate(steps):
-        if i + 1 == len(steps) or steps[i + 1].tag != step.tag:
-            boundaries.append((i, step.tag or "step"))
-    i = 0
-    for end, tag in boundaries:
-        state = run_program(state, steps[i : end + 1])
-        snapshots.append((tag, state))
-        i = end + 1
+    for tag, stage in itertools.groupby(build_dj_program(f, scheme), lambda s: s.tag):
+        state = run_program(state, list(stage))
+        snapshots.append((tag or "step", state))
     return snapshots
 
 
 @functools.lru_cache(maxsize=None)
-def _dj_fixed_layers(scheme: str) -> tuple:
-    """(state entering the oracle, read-only suffix operator), built once per scheme."""
+def _dj_layers(scheme: str) -> tuple:
+    """(state entering the oracle, prefix operator, suffix operator), read-only.
+
+    Built once per scheme.  The entering state is the prefix operator's
+    column 0, the image of basis (0, 0).
+    """
     topo = scheme_topology(scheme)
-    entering = run_program(WalkState.basis(topo, 0, 0), _dj_prefix(scheme))
+    prefix = program_operator(_dj_prefix(scheme), topo)
     suffix = program_operator(_dj_suffix(scheme), topo)
-    suffix.setflags(write=False)
-    return entering, suffix
-
-
-@functools.lru_cache(maxsize=None)
-def _dj_prefix_operator(scheme: str) -> np.ndarray:
-    """Read-only operator of the steps before the oracle, built once per scheme."""
-    prefix = program_operator(_dj_prefix(scheme), scheme_topology(scheme))
     prefix.setflags(write=False)
-    return prefix
+    suffix.setflags(write=False)
+    return WalkState(topo, prefix[:, 0]), prefix, suffix
 
 
 def _dj_operator(f: BooleanFn, scheme: str) -> np.ndarray:
     """Operator of ``build_dj_program(f, scheme)``; only the oracle's is built per call."""
     oracle = program_operator(_dj_oracle(f, scheme), scheme_topology(scheme))
-    return _dj_fixed_layers(scheme)[1] @ oracle @ _dj_prefix_operator(scheme)
+    _, prefix, suffix = _dj_layers(scheme)
+    return suffix @ oracle @ prefix
 
 
 def _dj_final_state(f: BooleanFn, scheme: str) -> WalkState:
     """Final state of ``build_dj_program(f, scheme)`` run from basis (0, 0).
 
     Only the oracle step is evolved per call; the layers around it come from
-    ``_dj_fixed_layers``.
+    ``_dj_layers``.
     """
-    entering, suffix = _dj_fixed_layers(scheme)
+    entering, _, suffix = _dj_layers(scheme)
     queried = run_program(entering, _dj_oracle(f, scheme))
     amps = suffix @ queried.amplitudes
     if not abs(np.linalg.norm(amps) - queried.norm()) <= NORM_TOL:  # NaN fails
         raise WalkError("final H layer did not preserve the state norm")
     return WalkState(entering.topology, amps)
+
+
+def _readout(final: WalkState, scheme: str) -> dict:
+    """Outcome label -> probability of the working qubits of a final DJ/BV state."""
+    if scheme == WITH_AUX:
+        labels, probs = CYCLE_LABELS, measure_position(final)
+    else:
+        labels, probs = ("00", "01", "10", "11"), measure_joint(final).ravel()
+    return {label: float(p) for label, p in zip(labels, probs)}
 
 
 def run_dj(f: BooleanFn, scheme: str) -> DJOutcome:
@@ -405,12 +406,7 @@ def run_dj(f: BooleanFn, scheme: str) -> DJOutcome:
             "function is neither constant nor balanced; the Deutsch-Jozsa "
             "promise does not hold"
         )
-    final = _dj_final_state(f, scheme)
-    if scheme == WITH_AUX:
-        p = float(measure_position(final)[0])
-    else:
-        p = float(measure_joint(final)[0, 0])
-    return DJOutcome(scheme, p)
+    return DJOutcome(scheme, _readout(_dj_final_state(f, scheme), scheme)["00"])
 
 
 @dataclass(frozen=True)
@@ -431,28 +427,11 @@ def run_bv(s: str, scheme: str) -> BVOutcome:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme: {scheme!r}")
     f = hidden_string_fn(s)
-    n = f.n
-    if n == 2:
-        final = _dj_final_state(f, scheme)
-        if scheme == WITH_AUX:
-            probs = measure_position(final)
-            dist = {CYCLE_LABELS[v]: float(probs[v]) for v in range(4)}
-        else:
-            joint = measure_joint(final)
-            dist = {
-                f"{c}{l}": float(joint[c, l]) for c in (0, 1) for l in (0, 1)
-            }
+    if f.n == 2:
+        dist = _readout(_dj_final_state(f, scheme), scheme)
     else:
-        vec = brute_force_reference(scheme, f)
-        dist = {}
-        for x in range(2**n):
-            label = format(x, f"0{n}b")
-            if scheme == WITH_AUX:
-                dist[label] = float(
-                    abs(vec[x * 2]) ** 2 + abs(vec[x * 2 + 1]) ** 2
-                )
-            else:
-                dist[label] = float(abs(vec[x]) ** 2)
+        probs = _reference_probabilities(scheme, f)
+        dist = {format(x, f"0{f.n}b"): float(p) for x, p in enumerate(probs)}
     recovered = max(sorted(dist), key=lambda k: dist[k])
     return BVOutcome(scheme, s, recovered, dist[recovered], dist)
 
@@ -501,11 +480,14 @@ def brute_force_reference(scheme: str, f: BooleanFn) -> np.ndarray:
     raise ValueError(f"unknown scheme: {scheme!r}")
 
 
+def _reference_probabilities(scheme: str, f: BooleanFn) -> np.ndarray:
+    """P(x) for each input x in the reference's final state, the aux summed out."""
+    probs = np.abs(brute_force_reference(scheme, f)) ** 2
+    return probs.reshape(2**f.n, -1).sum(axis=1)
+
+
 def brute_force_p_all_zero(scheme: str, f: BooleanFn) -> float:
-    vec = brute_force_reference(scheme, f)
-    if scheme == WITH_AUX:
-        return float(abs(vec[0]) ** 2 + abs(vec[1]) ** 2)
-    return float(abs(vec[0]) ** 2)
+    return float(_reference_probabilities(scheme, f)[0])
 
 
 def oracle_operator(oracle: Oracle) -> np.ndarray:

@@ -96,14 +96,22 @@ def _dump_states(f: alg.BooleanFn, scheme: str) -> list:
     ]
 
 
+def _emit_results(args, blob: dict, lines: list) -> None:
+    """Write a dj/bv blob as JSON, or its text lines and any --dump-state snapshots."""
+    if args.format == "json":
+        _emit(json.dumps(blob, indent=2) + "\n", args.output)
+        return
+    snaps = [json.dumps(snap) for r in blob["results"] for snap in r.get("states", [])]
+    _emit("\n".join(lines + snaps) + "\n", args.output)
+
+
 def cmd_dj(args) -> int:
     f = _load_function(args)
     if alg.classify_fn(f) is alg.FnClass.NEITHER:
         sys.stderr.write("promise violated: function is neither constant nor balanced\n")
         return EXIT_PROMISE
-    schemes = _schemes(args.scheme)
     results = []
-    for scheme in schemes:
+    for scheme in _schemes(args.scheme):
         out = alg.run_dj(f, scheme)
         entry = {
             "scheme": scheme,
@@ -114,23 +122,15 @@ def cmd_dj(args) -> int:
             entry["states"] = _dump_states(f, scheme)
         results.append(entry)
     agree = len({r["classification"] for r in results}) == 1
-    if args.format == "json":
-        blob = {"command": "dj", "results": results, "schemes_agree": agree}
-        _emit(json.dumps(blob, indent=2) + "\n", args.output)
-    else:
-        lines = []
-        for r in results:
-            lines.append(
-                f"{r['scheme']}: p_all_zero={r['p_all_zero']:.6f} "
-                f"classification={r['classification']}"
-            )
-        if len(results) > 1:
-            lines.append(f"schemes agree: {'yes' if agree else 'no'}")
-        if args.dump_state:
-            for r in results:
-                for snap in r.get("states", []):
-                    lines.append(json.dumps(snap))
-        _emit("\n".join(lines) + "\n", args.output)
+    lines = [
+        f"{r['scheme']}: p_all_zero={r['p_all_zero']:.6f} "
+        f"classification={r['classification']}"
+        for r in results
+    ]
+    if len(results) > 1:
+        lines.append(f"schemes agree: {'yes' if agree else 'no'}")
+    blob = {"command": "dj", "results": results, "schemes_agree": agree}
+    _emit_results(args, blob, lines)
     return EXIT_OK
 
 
@@ -140,9 +140,8 @@ def cmd_bv(args) -> int:
         raise CLIError(f"hidden string must be bits, got {s!r}")
     if len(s) != 2:
         raise CLIError("walk schemes support hidden strings of length 2")
-    schemes = _schemes(args.scheme)
     results = []
-    for scheme in schemes:
+    for scheme in _schemes(args.scheme):
         out = alg.run_bv(s, scheme)
         entry = {
             "scheme": scheme,
@@ -154,21 +153,11 @@ def cmd_bv(args) -> int:
         if args.dump_state:
             entry["states"] = _dump_states(alg.hidden_string_fn(s), scheme)
         results.append(entry)
-    if args.format == "json":
-        _emit(
-            json.dumps({"command": "bv", "results": results}, indent=2) + "\n",
-            args.output,
-        )
-    else:
-        lines = [
-            f"{r['scheme']}: recovered={r['recovered']} p={r['probability']:.6f}"
-            for r in results
-        ]
-        if args.dump_state:
-            for r in results:
-                for snap in r.get("states", []):
-                    lines.append(json.dumps(snap))
-        _emit("\n".join(lines) + "\n", args.output)
+    lines = [
+        f"{r['scheme']}: recovered={r['recovered']} p={r['probability']:.6f}"
+        for r in results
+    ]
+    _emit_results(args, {"command": "bv", "results": results}, lines)
     return EXIT_OK
 
 
@@ -341,6 +330,8 @@ def _parse_perturb(spec: Optional[str]) -> dict:
         raise CLIError(f"perturb: expected key=value, got {spec!r}") from exc
     if key != "hwp":
         raise CLIError(f"perturb: unknown key {key!r} (use hwp)")
+    if not np.isfinite(value):
+        raise CLIError(f"perturb: {key} must be a finite number")
     return {key: value}
 
 
@@ -408,8 +399,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     dj = sub.add_parser("dj", help="run the constant-vs-balanced test")
-    dj.add_argument("--function", help="catalogue function name (i..viii)")
-    dj.add_argument("--table", help="path to a truth-table JSON file")
+    source = dj.add_mutually_exclusive_group()
+    source.add_argument("--function", help="catalogue function name (i..viii)")
+    source.add_argument("--table", help="path to a truth-table JSON file")
     dj.add_argument("--scheme", default="both")
     dj.set_defaults(func=cmd_dj)
 

@@ -210,6 +210,8 @@ _LOWERINGS = (
 
 
 def _lower_coin(coin: np.ndarray, mode: int) -> Optional[Component]:
+    if coin.shape != (2, 2):
+        raise UnsupportedCoin(f"coin at mode {mode} has shape {coin.shape}, not (2, 2)")
     for pattern, factory in _LOWERINGS:
         if np.max(np.abs(coin - pattern)) <= MATCH_TOL:
             return None if factory is None else factory(mode)
@@ -248,28 +250,20 @@ def _block_matches(topology: Topology, block: tuple) -> bool:
 
 
 def _readout_metadata(scheme: str, algorithm: str) -> dict:
-    if scheme == alg.WITH_AUX and algorithm == "dj":
-        return {
-            "scheme": scheme,
-            "algorithm": algorithm,
-            "polarization_resolving": False,
-            "elements": [],
-            "detectors": "single-photon detector on mode 0",
-        }
-    if scheme == alg.WITH_AUX:
-        return {
-            "scheme": scheme,
-            "algorithm": algorithm,
-            "polarization_resolving": False,
-            "elements": [],
-            "detectors": "single-photon detectors on all modes",
-        }
+    # No-aux reads the coin too, so it resolves polarization behind a PBS;
+    # with-aux DJ needs only the all-zero vertex, mode 0.
+    resolving = scheme == alg.NO_AUX
+    one_mode = scheme == alg.WITH_AUX and algorithm == "dj"
     return {
         "scheme": scheme,
         "algorithm": algorithm,
-        "polarization_resolving": True,
-        "elements": ["PBS"],
-        "detectors": "single-photon detectors on all modes",
+        "polarization_resolving": resolving,
+        "elements": ["PBS"] if resolving else [],
+        "detectors": (
+            "single-photon detector on mode 0"
+            if one_mode
+            else "single-photon detectors on all modes"
+        ),
     }
 
 
@@ -281,8 +275,6 @@ def compile(program: Sequence, scheme: str, algorithm: str = "dj") -> PhotonicCi
     checked against the walk operator block by block; a position-Hadamard
     block is checked once per distinct content and process (``_block_matches``).
     """
-    if scheme not in alg.SCHEMES:
-        raise ValueError(f"unknown scheme: {scheme!r}")
     topo = alg.scheme_topology(scheme)
     n_modes = topo.size
     stages: list = []
@@ -338,11 +330,7 @@ def count_components(circuit: PhotonicCircuit) -> ComponentCount:
     return ComponentCount(**counts)
 
 
-def resource_report(
-    functions: Sequence,
-    schemes: Sequence[str] = (alg.WITH_AUX, alg.NO_AUX),
-    algorithm: str = "dj",
-) -> list:
+def resource_report(functions: Sequence, algorithm: str = "dj") -> list:
     """Per-(function, scheme) component counts for compiled full circuits.
 
     ``functions`` is a sequence of (name, BooleanFn) pairs; row order is
@@ -350,7 +338,7 @@ def resource_report(
     """
     rows = []
     for name, f in functions:
-        for scheme in schemes:
+        for scheme in alg.SCHEMES:
             circuit = compile(alg.build_dj_program(f, scheme), scheme, algorithm)
             c = count_components(circuit)
             rows.append(

@@ -191,6 +191,13 @@ class WalkState:
 
     @classmethod
     def basis(cls, topology: Topology, coin: int, position: int) -> "WalkState":
+        # bool and out-of-range values would index another amplitude silently.
+        if not (_is_int(coin) and coin in (0, 1)):
+            raise ValueError(f"basis coin must be 0 or 1, got {coin!r}")
+        if not (_is_int(position) and 0 <= position < topology.size):
+            raise ValueError(
+                f"basis position must be an int in [0, {topology.size}), got {position!r}"
+            )
         amps = np.zeros(topology.dim, dtype=complex)
         amps[coin * topology.size + position] = 1.0
         return cls(topology, amps)

@@ -90,6 +90,35 @@ class TestDJ:
         assert states[0]["stage"] == "initial"
         assert states[0]["state"]["amplitudes"][0] == [1.0, 0.0]
 
+    @pytest.mark.parametrize("scheme,stages", [
+        ("with-aux", ["initial", "prep", "coin_hadamard", "position_hadamard",
+                      "oracle", "position_hadamard"]),
+        ("no-aux", ["initial", "coin_hadamard", "position_hadamard", "oracle",
+                    "coin_hadamard", "position_hadamard"]),
+    ])
+    def test_dump_state_stage_names(self, capsys, scheme, stages):
+        for cmd in (("dj", "--function", "vii"), ("bv", "--string", "10")):
+            code, out, _ = run(
+                capsys, *cmd, "--scheme", scheme, "--format", "json", "--dump-state",
+            )
+            assert code == 0
+            [result] = json.loads(out)["results"]
+            assert [s["stage"] for s in result["states"]] == stages
+
+    def test_function_and_table_exclude_each_other(self, capsys, tmp_path):
+        table = tmp_path / "t.json"
+        table.write_text(json.dumps({"n": 2, "table": [0, 0, 1, 1]}))
+        code, out, err = run(capsys, "dj", "--function", "iii", "--table", str(table))
+        assert code == 1
+        assert out == ""
+        assert err == "error: argument --table: not allowed with argument --function\n"
+
+    def test_neither_function_nor_table_exit_1(self, capsys):
+        code, out, err = run(capsys, "dj")
+        assert code == 1
+        assert out == ""
+        assert err == "error: dj needs --function or --table\n"
+
 
 class TestBV:
     def test_recovers(self, capsys):
@@ -165,6 +194,16 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert "bs" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "suite", [(), ("--suite", "photonic-fidelity")], ids=["all", "one"]
+    )
+    def test_non_finite_perturbation_exit_1(self, capsys, value, suite):
+        code, out, err = run(capsys, "verify", *suite, "--perturb", f"hwp={value}")
+        assert code == 1
+        assert out == ""
+        assert err == "error: perturb: hwp must be a finite number\n"
 
     def test_registry_covers_all_module_invariants(self):
         # one suite per invariant family declared across the three modules

@@ -79,19 +79,37 @@ def test_fixed_steps_are_built_once_and_programs_are_new_lists(scheme):
 
 @pytest.mark.parametrize("scheme", alg.SCHEMES)
 def test_cached_values_are_read_only(scheme):
-    entering, suffix = alg._dj_fixed_layers(scheme)
+    entering, _, suffix = alg._dj_layers(scheme)
     with pytest.raises(ValueError):
         entering.amplitudes[0] = 0.0
     with pytest.raises(ValueError):
         suffix[0, 0] = 0.0
-    assert alg._dj_fixed_layers(scheme) is alg._dj_fixed_layers(scheme)
+    assert alg._dj_layers(scheme) is alg._dj_layers(scheme)
+
+
+@pytest.mark.parametrize("scheme", alg.SCHEMES)
+def test_entering_state_equals_the_prefix_run_bitwise(scheme):
+    entering, prefix, _ = alg._dj_layers(scheme)
+    topo = alg.scheme_topology(scheme)
+    want = wc.run_program(wc.WalkState.basis(topo, 0, 0), alg._dj_prefix(scheme))
+    assert entering.topology == topo
+    assert np.array_equal(entering.amplitudes, want.amplitudes)
+    assert np.array_equal(prefix[:, 0], want.amplitudes)
+
+
+@pytest.mark.parametrize(
+    "scheme,labels",
+    [(alg.WITH_AUX, ["00", "01", "11", "10"]), (alg.NO_AUX, ["00", "01", "10", "11"])],
+)
+def test_readout_keeps_its_key_order(scheme, labels):
+    assert list(alg.run_bv("11", scheme).distribution) == labels
 
 
 def test_unknown_scheme_raises_and_leaves_cache_usable():
     f = dict(alg.two_bit_catalogue())["ii"]
     for _ in range(2):
         with pytest.raises(ValueError, match="unknown scheme"):
-            alg._dj_fixed_layers("sideways")
+            alg._dj_layers("sideways")
         with pytest.raises(ValueError, match="unknown scheme"):
             alg.run_dj(f, "sideways")
     for scheme in alg.SCHEMES:

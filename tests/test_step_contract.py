@@ -126,3 +126,33 @@ def test_a_rebuilt_step_is_equal_hashes_alike_and_acts_alike(step):
     assert copy is not step
     assert copy == step and hash(copy) == hash(step)
     np.testing.assert_array_equal(wc.step_operator(copy, CYCLE4), wc.step_operator(step, CYCLE4))
+
+
+@pytest.mark.parametrize(
+    "coin", [np.eye(3), np.array([1.0, 0.0])], ids=["3x3", "vector"]
+)
+def test_compile_rejects_a_coin_that_is_not_2x2(coin):
+    message = re.escape(f"coin at mode 0 has shape {coin.shape}, not (2, 2)")
+    with pytest.raises(ph.UnsupportedCoin, match=message):
+        ph.compile([WalkStep({0: coin})], alg.NO_AUX)
+
+
+@pytest.mark.parametrize(
+    "coin,position",
+    [(0, 4), (0, -1), (2, 0), (-1, 0), (True, 0), (0, True), (0.0, 0), (0, 1.0)],
+    ids=["position-past-end", "negative-position", "coin-2", "negative-coin",
+         "bool-coin", "bool-position", "float-coin", "float-position"],
+)
+def test_basis_rejects_an_out_of_range_or_non_int_lookup(coin, position):
+    with pytest.raises(ValueError, match="basis (coin|position)"):
+        WalkState.basis(CYCLE4, coin, position)
+
+
+def test_basis_accepts_numpy_ints():
+    state = WalkState.basis(CYCLE4, np.int64(1), np.int32(3))
+    assert np.array_equal(state.amplitudes, np.eye(8)[7])
+
+
+def test_scheme_topology_rejects_an_unknown_scheme():
+    with pytest.raises(ValueError, match=re.escape("unknown scheme: 'bogus'")):
+        alg.scheme_topology("bogus")

@@ -23,8 +23,8 @@ def test_composed_operator_equals_full_program(name, f, scheme):
 
 @pytest.mark.parametrize("scheme", alg.SCHEMES)
 def test_prefix_operator_is_cached_and_read_only(scheme):
-    prefix = alg._dj_prefix_operator(scheme)
-    assert prefix is alg._dj_prefix_operator(scheme)
+    prefix = alg._dj_layers(scheme)[1]
+    assert prefix is alg._dj_layers(scheme)[1]
     with pytest.raises(ValueError):
         prefix[0, 0] = 0.0
 
