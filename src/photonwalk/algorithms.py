@@ -142,13 +142,11 @@ def hidden_string_fn(s: str) -> BooleanFn:
     """The dot-product function f(x) = x . s for a hidden bit string."""
     if not s or any(ch not in "01" for ch in s):
         raise ValueError(f"hidden string must be nonempty bits, got {s!r}")
-    bits = [int(ch) for ch in s]
-    n = len(bits)
-    table = []
-    for x in range(2**n):
-        xbits = [(x >> (n - 1 - i)) & 1 for i in range(n)]
-        table.append(sum(a * b for a, b in zip(xbits, bits)) % 2)
-    return BooleanFn(n, tuple(table))
+    # Parity of x & s, one bit of s per doubling: x1 is the most significant.
+    table = np.zeros(1, dtype=np.uint8)
+    for ch in s:
+        table = (table[:, None] ^ np.array([0, int(ch)], dtype=np.uint8)).ravel()
+    return BooleanFn(len(s), tuple(table.tolist()))
 
 
 # Hidden string -> catalogue name of the matching dot-product function.
@@ -431,18 +429,29 @@ def run_bv(s: str, scheme: str) -> BVOutcome:
         dist = _readout(_dj_final_state(f, scheme), scheme)
     else:
         probs = _reference_probabilities(scheme, f)
-        dist = {format(x, f"0{f.n}b"): float(p) for x, p in enumerate(probs)}
-    recovered = max(sorted(dist), key=lambda k: dist[k])
+        labels = map("".join, itertools.product("01", repeat=f.n))  # x order
+        dist = dict(zip(labels, probs.tolist()))
+    recovered = max(sorted(dist), key=dist.__getitem__)
     return BVOutcome(scheme, s, recovered, dist[recovered], dist)
 
 
-_H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+# The dense reference holds 2^(n+1) complex amplitudes: 32 MB at the limit.
+REFERENCE_MAX_N = 20
 
 
-def _apply_h(vec: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:
-    # qubit 0 is the most significant factor of the flat index
-    t = vec.reshape(2**qubit, 2, -1)
-    return np.einsum("ab,ibj->iaj", _H2, t).reshape(-1)
+def _hadamard_all(vec: np.ndarray, qubits: int) -> None:
+    """H on each of the first ``qubits`` factors of ``vec``, in place.
+
+    Qubit 0 is the most significant factor of the flat index.  Each qubit
+    is one sum-and-difference butterfly (fast Walsh-Hadamard transform);
+    the 2^(-1/2) factors are applied once at the end.
+    """
+    for q in range(qubits):
+        t = vec.reshape(2**q, 2, -1)
+        diff = t[:, 0] - t[:, 1]
+        t[:, 0] += t[:, 1]
+        t[:, 1] = diff
+    vec *= 2 ** (-qubits / 2)
 
 
 def brute_force_reference(scheme: str, f: BooleanFn) -> np.ndarray:
@@ -452,30 +461,26 @@ def brute_force_reference(scheme: str, f: BooleanFn) -> np.ndarray:
     for the with-aux scheme, |x1..xn> otherwise.
     """
     n = f.n
-    if n > 10:
-        raise ValueError("brute-force reference supports n <= 10")
+    if n > REFERENCE_MAX_N:
+        raise ValueError(
+            f"brute-force reference supports n <= {REFERENCE_MAX_N}, got n = {n}"
+        )
     if scheme == NO_AUX:
         vec = np.zeros(2**n, dtype=complex)
         vec[0] = 1.0
-        for q in range(n):
-            vec = _apply_h(vec, n, q)
-        vec = vec * np.array([(-1.0) ** f.value(x) for x in range(2**n)])
-        for q in range(n):
-            vec = _apply_h(vec, n, q)
+        _hadamard_all(vec, n)
+        vec *= np.where(np.array(f.table, dtype=bool), -1.0, 1.0)
+        _hadamard_all(vec, n)
         return vec
     if scheme == WITH_AUX:
-        nq = n + 1
-        vec = np.zeros(2**nq, dtype=complex)
+        vec = np.zeros(2 ** (n + 1), dtype=complex)
         vec[1] = 1.0  # |0...0>|1>
-        for q in range(nq):
-            vec = _apply_h(vec, nq, q)
-        out = np.zeros_like(vec)
-        for x in range(2**n):
-            for y in (0, 1):
-                out[x * 2 + (y ^ f.value(x))] = vec[x * 2 + y]
-        vec = out
-        for q in range(n):
-            vec = _apply_h(vec, nq, q)
+        _hadamard_all(vec, n + 1)
+        # |x>|y> -> |x>|y xor f(x)>: swap the aux pair of every x with f(x) = 1.
+        pairs = vec.reshape(-1, 2)
+        mask = np.array(f.table, dtype=bool)
+        pairs[mask] = pairs[mask, ::-1]
+        _hadamard_all(vec, n)
         return vec
     raise ValueError(f"unknown scheme: {scheme!r}")
 

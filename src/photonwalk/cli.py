@@ -60,12 +60,12 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _load_function(args) -> alg.BooleanFn:
-    if args.function:
+    if args.function is not None:
         for name, f in alg.two_bit_catalogue():
             if name == args.function:
                 return f
         raise CLIError(f"unknown catalogue function {args.function!r} (use i..viii)")
-    if args.table:
+    if args.table is not None:
         try:
             with open(args.table) as fh:
                 blob = json.load(fh)
@@ -357,7 +357,10 @@ def cmd_verify(args) -> int:
     names = [args.suite] if args.suite else None
     if names and names[0] not in dict(ALL_SUITES):
         raise CLIError(f"unknown suite {args.suite!r}")
-    results = run_suites(names, _parse_perturb(args.perturb))
+    perturb = _parse_perturb(args.perturb)
+    if args.perturb is not None and names and "photonic-fidelity" not in names:
+        raise CLIError("perturb: only the photonic-fidelity suite reads --perturb")
+    results = run_suites(names, perturb)
     if args.format == "json":
         rows = [{"suite": n, "passed": ok, "message": msg} for n, ok, msg in results]
         text = json.dumps({"command": "verify", "results": rows}, indent=2)
@@ -376,6 +379,8 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    if not algorithms:
+        raise CLIError("report needs at least one algorithm (use dj, bv)")
     for a in algorithms:
         if a not in ("dj", "bv"):
             raise CLIError(f"unknown algorithm {a!r} (use dj, bv)")

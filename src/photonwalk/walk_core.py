@@ -140,8 +140,9 @@ class WalkStep:
     default to identity.  ``tag`` is a structural label consumed by the
     photonic compiler (e.g. marking a position-Hadamard block).  A step is a
     value: it holds read-only copies of the coins and compares by content,
-    positions with their type (``{2: X}`` and ``{2.0: X}`` differ).  Nothing
-    is checked here; ``evolve`` rejects a bad step when it runs.
+    positions with their type (``{2: X}`` and ``{2.0: X}`` differ).  The
+    unitarity of each numeric 2x2 coin is measured here, once; ``evolve``
+    rejects a bad step when it runs, whether or not its sites hold amplitude.
     """
 
     coin_map: Mapping[int, np.ndarray] = field(default_factory=dict)
@@ -149,6 +150,7 @@ class WalkStep:
     global_phase: float = 0.0
     tag: Optional[str] = None
     _key: tuple = field(init=False, repr=False)
+    _nonunitary: Optional[tuple] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         coins = {pos: np.array(coin) for pos, coin in self.coin_map.items()}
@@ -160,6 +162,15 @@ class WalkStep:
             (type(l), l, c.dtype.str, c.shape, c.tobytes()) for l, c in coins.items()
         )
         object.__setattr__(self, "_key", (self.tag, self.shift, self.global_phase, content))
+        # (position, deviation) of the first coin that is not unitary, if any.
+        nonunitary = None
+        for l, c in coins.items():
+            if c.shape == (2, 2) and c.dtype.kind in "biufc":
+                dev = _unitary_deviation(c)
+                if not dev <= MATCH_TOL:  # NaN fails
+                    nonunitary = (l, dev)
+                    break
+        object.__setattr__(self, "_nonunitary", nonunitary)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WalkStep) and self._key == other._key
@@ -206,8 +217,22 @@ class WalkState:
         return float(np.linalg.norm(self.amplitudes))
 
 
+def _unitary_deviation(m: np.ndarray) -> float:
+    """Largest entry of |m^dagger m - I|, NaN if m holds a NaN; closed form for 2x2."""
+    if m.shape == (2, 2):
+        a, b, c, d = m.ravel().tolist()
+        # The off-diagonal term goes first: it is NaN whenever an entry is,
+        # and max() keeps a NaN first argument.
+        return max(
+            abs(a.conjugate() * b + c.conjugate() * d),
+            abs(abs(a) ** 2 + abs(c) ** 2 - 1),
+            abs(abs(b) ** 2 + abs(d) ** 2 - 1),
+        )
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+
+
 def _check_unitary(m: np.ndarray) -> None:
-    dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
+    dev = _unitary_deviation(m)
     if not dev <= MATCH_TOL:  # NaN fails
         raise WalkError(f"operator is not unitary (max deviation {dev:.3e})")
 
@@ -218,7 +243,7 @@ def evolve(amps: np.ndarray, step: WalkStep) -> None:
     The state path passes one vector; the operator path passes the identity
     columns, shape (2, size, 2 * size).  A coin position that is not an int
     (``bool`` included) or lies outside ``[0, size)``, or a coin that is not
-    2x2, raises WalkError; no boundary or norm check is made.
+    2x2 or not unitary, raises WalkError; no boundary or norm check is made.
     """
     size = amps.shape[1]
     bad = [l for l in step.coin_map if not (_is_int(l) and 0 <= l < size)]
@@ -229,6 +254,9 @@ def evolve(amps: np.ndarray, step: WalkStep) -> None:
     for l, c in step.coin_map.items():
         if c.shape != (2, 2):
             raise WalkError(f"coin at position {l} has shape {c.shape}, not (2, 2)")
+    if step._nonunitary is not None:
+        l, dev = step._nonunitary
+        raise WalkError(f"coin at position {l} is not unitary (max deviation {dev:.3e})")
     for l, c in step.coin_map.items():
         amps[:, l] = c @ amps[:, l]
     if step.shift is not None:

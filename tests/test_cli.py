@@ -119,6 +119,18 @@ class TestDJ:
         assert out == ""
         assert err == "error: dj needs --function or --table\n"
 
+    def test_empty_function_name_is_an_unknown_function(self, capsys):
+        code, out, err = run(capsys, "dj", "--function", "")
+        assert code == 1
+        assert out == ""
+        assert err == "error: unknown catalogue function '' (use i..viii)\n"
+
+    def test_empty_table_path_is_a_missing_file(self, capsys):
+        code, out, err = run(capsys, "dj", "--table", "")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: table: ") and "No such file" in err
+
 
 class TestBV:
     def test_recovers(self, capsys):
@@ -205,6 +217,13 @@ class TestVerify:
         assert out == ""
         assert err == "error: perturb: hwp must be a finite number\n"
 
+    @pytest.mark.parametrize("suite", ["coin-unitarity", "bv-exactness"])
+    def test_perturb_without_the_fidelity_suite_exit_1(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--perturb", "hwp=0.5")
+        assert code == 1
+        assert out == ""
+        assert err == "error: perturb: only the photonic-fidelity suite reads --perturb\n"
+
     def test_registry_covers_all_module_invariants(self):
         # one suite per invariant family declared across the three modules
         names = {name for name, _ in cli.ALL_SUITES}
@@ -258,6 +277,13 @@ class TestReport:
     def test_unknown_algorithm_exit_1(self, capsys):
         code, _, _ = run(capsys, "report", "--algorithms", "grover")
         assert code == 1
+
+    @pytest.mark.parametrize("algorithms", [",", "", " , "])
+    def test_no_algorithm_exit_1(self, capsys, algorithms):
+        code, out, err = run(capsys, "report", "--algorithms", algorithms)
+        assert code == 1
+        assert out == ""
+        assert err == "error: report needs at least one algorithm (use dj, bv)\n"
 
 
 class TestOutputFile:

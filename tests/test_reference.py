@@ -1,0 +1,118 @@
+"""The dense brute-force reference against closed forms and a loop copy of itself.
+
+The closed forms need neither the walk nor the reference: for a phase oracle,
+the amplitude of |0...0> after H, oracle, H is 2^-n sum_x (-1)^f(x), and
+Bernstein-Vazirani leaves all probability on the hidden string.
+"""
+
+import random
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from photonwalk import algorithms as alg
+
+
+def closed_form_p_all_zero(table) -> float:
+    signs = 1.0 - 2.0 * np.asarray(table, dtype=float)
+    return float((signs.sum() / len(table)) ** 2)
+
+
+def random_fn(rng: random.Random, n: int) -> alg.BooleanFn:
+    return alg.BooleanFn(n, tuple(rng.getrandbits(1) for _ in range(2**n)))
+
+
+# A loop copy of the reference as it stood before the vectorised one: one
+# einsum per Hadamard, a Python loop for each oracle.
+_H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
+def _loop_apply_h(vec, qubit):
+    t = vec.reshape(2**qubit, 2, -1)
+    return np.einsum("ab,ibj->iaj", _H2, t).reshape(-1)
+
+
+def loop_reference(scheme: str, f: alg.BooleanFn) -> np.ndarray:
+    n = f.n
+    if scheme == alg.NO_AUX:
+        vec = np.zeros(2**n, dtype=complex)
+        vec[0] = 1.0
+        for q in range(n):
+            vec = _loop_apply_h(vec, q)
+        vec = vec * np.array([(-1.0) ** f.value(x) for x in range(2**n)])
+        for q in range(n):
+            vec = _loop_apply_h(vec, q)
+        return vec
+    vec = np.zeros(2 ** (n + 1), dtype=complex)
+    vec[1] = 1.0
+    for q in range(n + 1):
+        vec = _loop_apply_h(vec, q)
+    out = np.zeros_like(vec)
+    for x in range(2**n):
+        for y in (0, 1):
+            out[x * 2 + (y ^ f.value(x))] = vec[x * 2 + y]
+    vec = out
+    for q in range(n):
+        vec = _loop_apply_h(vec, q)
+    return vec
+
+
+@pytest.mark.parametrize("n", [*range(1, 11), 16])
+def test_p_all_zero_matches_the_closed_form(n):
+    rng = random.Random(n)
+    fns = [random_fn(rng, n) for _ in range(3 if n <= 10 else 1)]
+    fns.append(alg.BooleanFn(n, (1,) * 2**n))
+    half = [0] * 2 ** (n - 1) + [1] * 2 ** (n - 1)
+    rng.shuffle(half)
+    fns.append(alg.BooleanFn(n, tuple(half)))
+    for f in fns:
+        want = closed_form_p_all_zero(f.table)
+        for scheme in alg.SCHEMES:
+            assert abs(alg.brute_force_p_all_zero(scheme, f) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_run_bv_puts_probability_one_on_the_hidden_string(n):
+    rng = random.Random(100 + n)
+    for s in ("0" * n, "1" * n, "".join(rng.choice("01") for _ in range(n))):
+        for scheme in alg.SCHEMES:
+            out = alg.run_bv(s, scheme)
+            assert out.recovered == s
+            assert abs(out.probability - 1.0) <= 1e-12
+            assert list(out.distribution) == [format(x, f"0{n}b") for x in range(2**n)]
+            rest = sum(p for k, p in out.distribution.items() if k != s)
+            assert rest <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_agrees_with_the_loop_reference(n):
+    rng = random.Random(200 + n)
+    for _ in range(4):
+        f = random_fn(rng, n)
+        for scheme in alg.SCHEMES:
+            got = alg.brute_force_reference(scheme, f)
+            assert got.shape == (2 ** (n + (scheme == alg.WITH_AUX)),)
+            assert np.max(np.abs(got - loop_reference(scheme, f))) <= 1e-12
+
+
+def test_hidden_string_tables_are_the_parity_of_x_and_s():
+    for n in range(1, 11):
+        bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # x1 first
+        parity = (bits @ bits.T) % 2  # parity[s, x] = x . s mod 2
+        for si in range(2**n):
+            s = format(si, f"0{n}b")
+            assert alg.hidden_string_fn(s).table == tuple(parity[si].tolist()), s
+
+
+def test_reference_runs_past_the_old_cap():
+    f = alg.BooleanFn(11, (0,) * 2**11)
+    assert abs(alg.brute_force_p_all_zero(alg.WITH_AUX, f) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", alg.SCHEMES)
+def test_reference_rejects_n_above_the_limit(scheme):
+    assert alg.REFERENCE_MAX_N == 20
+    too_big = SimpleNamespace(n=alg.REFERENCE_MAX_N + 1)  # no table is built
+    with pytest.raises(ValueError, match=r"^brute-force reference supports n <= 20, got n = 21$"):
+        alg.brute_force_reference(scheme, too_big)

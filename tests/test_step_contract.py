@@ -51,9 +51,54 @@ def test_nan_global_phase_raises_on_the_state_path():
 
 def test_nan_coin_raises_on_both_paths():
     step = WalkStep({0: NAN_COIN})
-    with pytest.raises(wc.WalkError, match="step 0: step did not preserve the state norm"):
+    message = re.escape("coin at position 0 is not unitary (max deviation nan)")
+    with pytest.raises(wc.WalkError, match=f"step 0: {message}"):
         wc.apply_step(WalkState.basis(CYCLE4, 0, 0), step)
     with pytest.raises(wc.WalkError, match="not unitary"):
+        wc.step_operator(step, CYCLE4)
+
+
+@pytest.mark.parametrize("entry", range(4))
+def test_nan_in_any_coin_entry_fails_the_unitarity_check(entry):
+    coin = np.eye(2, dtype=complex)
+    coin.flat[entry] = complex(np.nan, 0.0) if entry % 2 else complex(0.0, np.nan)
+    with pytest.raises(wc.WalkError, match="not unitary"):
+        wc._check_unitary(coin)
+
+
+def test_closed_form_deviation_matches_the_matrix_product():
+    rng = np.random.default_rng(11)
+    for scale in (1e-14, 1e-9, 1.0):
+        for _ in range(100):
+            q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            m = q + scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            want = np.max(np.abs(m.conj().T @ m - np.eye(2)))
+            assert abs(wc._unitary_deviation(m) - want) <= 1e-15 + 1e-12 * want
+
+
+def test_non_unitary_coin_on_an_empty_site_raises_on_both_paths():
+    step = WalkStep({2: np.diag([1.0, 2.0])})
+    message = re.escape("coin at position 2 is not unitary (max deviation 3.000e+00)")
+    with pytest.raises(wc.WalkError, match=f"^step 0: {message}$"):
+        wc.apply_step(WalkState.basis(CYCLE4, 0, 0), step)
+    with pytest.raises(wc.WalkError, match=f"^step 1: {message}$"):
+        wc.run_program(WalkState.basis(CYCLE4, 0, 0), [WalkStep(), step])
+    with pytest.raises(wc.WalkError, match=f"^{message}$"):
+        wc.program_operator([WalkStep(), step], CYCLE4)
+
+
+def test_position_and_shape_are_checked_before_unitarity():
+    bad = np.diag([1.0, 2.0])
+    state = WalkState.basis(CYCLE4, 0, 0)
+    with pytest.raises(wc.WalkError, match="coin position 7 outside a topology of size 4"):
+        wc.apply_step(state, WalkStep({0: bad, 7: bad}))
+    with pytest.raises(wc.WalkError, match=re.escape("coin at position 1 has shape (3, 3)")):
+        wc.apply_step(state, WalkStep({0: bad, 1: np.eye(3)}))
+
+
+def test_first_non_unitary_coin_is_named():
+    step = WalkStep({0: alg.COIN_X, 3: np.diag([1.0, 0.5]), 1: 2 * np.eye(2)})
+    with pytest.raises(wc.WalkError, match="^coin at position 3 is not unitary"):
         wc.step_operator(step, CYCLE4)
 
 
