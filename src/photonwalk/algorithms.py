@@ -465,11 +465,12 @@ def brute_force_reference(scheme: str, f: BooleanFn) -> np.ndarray:
         raise ValueError(
             f"brute-force reference supports n <= {REFERENCE_MAX_N}, got n = {n}"
         )
+    mask = np.array(f.table, dtype=bool)  # x with f(x) = 1
     if scheme == NO_AUX:
         vec = np.zeros(2**n, dtype=complex)
         vec[0] = 1.0
         _hadamard_all(vec, n)
-        vec *= np.where(np.array(f.table, dtype=bool), -1.0, 1.0)
+        vec *= np.where(mask, -1.0, 1.0)
         _hadamard_all(vec, n)
         return vec
     if scheme == WITH_AUX:
@@ -478,7 +479,6 @@ def brute_force_reference(scheme: str, f: BooleanFn) -> np.ndarray:
         _hadamard_all(vec, n + 1)
         # |x>|y> -> |x>|y xor f(x)>: swap the aux pair of every x with f(x) = 1.
         pairs = vec.reshape(-1, 2)
-        mask = np.array(f.table, dtype=bool)
         pairs[mask] = pairs[mask, ::-1]
         _hadamard_all(vec, n)
         return vec
