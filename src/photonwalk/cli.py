@@ -166,7 +166,7 @@ def cmd_bv(args) -> int:
 def _suite_coin_unitarity(perturb):
     # One draw of all rows gives the same stream as 1000 draws of size 4.
     angles = np.random.default_rng(20240917).uniform(-2 * np.pi, 2 * np.pi, size=(1000, 4))
-    coins = np.array([wc.build_coin(wc.CoinParams(*row)) for row in angles])
+    coins = np.array([wc.build_coin(wc.CoinParams(*row)) for row in angles.tolist()])
     devs = np.max(np.abs(coins.conj().transpose(0, 2, 1) @ coins - np.eye(2)), axis=(1, 2))
     det_devs = np.abs(np.linalg.det(coins) - np.exp(2j * angles[:, 0]))
     # Written as "not within", so a NaN deviation fails too.
@@ -191,17 +191,17 @@ def _suite_shift_structure(perturb):
 
 def _suite_norm_preservation(perturb):
     rng = np.random.default_rng(7)
-    for _ in range(50):
+    cases, raw = [], []
+    for _ in range(50):  # each case draws its state, four coins, shift and phase
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        amps /= np.linalg.norm(amps)
-        state = wc.WalkState(alg.CYCLE4, amps)
-        coin_map = {}
-        for l in range(4):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            qmat, _ = np.linalg.qr(a)
-            coin_map[l] = qmat
+        raw += [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(4)]
         shift = [None, wc.s_plus(0), wc.s_minus(1)][int(rng.integers(3))]
-        out = wc.apply_step(state, wc.WalkStep(coin_map, shift, rng.uniform(0, np.pi)))
+        cases.append((amps / np.linalg.norm(amps), shift, rng.uniform(0, np.pi)))
+    coins, _ = np.linalg.qr(np.array(raw))  # one stacked QR for all 200 coins
+    for i, (amps, shift, phase) in enumerate(cases):
+        state = wc.WalkState(alg.CYCLE4, amps)
+        coin_map = dict(enumerate(coins[4 * i : 4 * i + 4]))
+        out = wc.apply_step(state, wc.WalkStep(coin_map, shift, phase))
         assert abs(out.norm() - 1.0) <= wc.NORM_TOL, "norm drifted"
         pos = wc.measure_position(out)
         joint = wc.measure_joint(out)
@@ -354,7 +354,7 @@ def run_suites(names: Optional[Sequence[str]] = None, perturb: Optional[dict] = 
 
 
 def cmd_verify(args) -> int:
-    names = [args.suite] if args.suite else None
+    names = [args.suite] if args.suite is not None else None
     if names and names[0] not in dict(ALL_SUITES):
         raise CLIError(f"unknown suite {args.suite!r}")
     perturb = _parse_perturb(args.perturb)

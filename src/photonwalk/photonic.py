@@ -24,6 +24,7 @@ from .walk_core import (
     NORM_TOL,
     Topology,
     WalkState,
+    _is_int,
     program_operator,
 )
 
@@ -73,6 +74,10 @@ class ModePermuter:
     permutation: tuple
     kind: str = field(default="mode_permuter", init=False)
 
+    def __post_init__(self) -> None:
+        # A tuple keeps the component hashable, so its stage can be memoised.
+        object.__setattr__(self, "permutation", tuple(self.permutation))
+
 
 Component = Union[HWP, BeamSplitter, PhaseShifter, PBS, ModePermuter]
 
@@ -121,6 +126,11 @@ class PhotonicCircuit:
             seen: set = set()
             for comp in stage:
                 modes = _component_modes(comp)
+                # Equal stages share one memoised matrix, so a mode that equals
+                # an int without being one (True, 1.0) must not get that far.
+                bad = [m for m in modes if not _is_int(m)]
+                if bad:
+                    raise ValueError(f"component mode {bad[0]!r} is not an int")
                 if any(m < 0 or m >= self.n_modes for m in modes):
                     raise ValueError(f"component references mode >= {self.n_modes}")
                 if isinstance(comp, ModePermuter) and sorted(
@@ -172,11 +182,24 @@ def component_matrix(comp: Component, n_modes: int) -> np.ndarray:
     return _operator(n_modes, [comp])
 
 
+@functools.lru_cache(maxsize=128)
+def _stage_operator(n_modes: int, stage: tuple) -> np.ndarray:
+    """Read-only matrix of one stage, built once per distinct stage and process.
+
+    Both optics paths read it, so the stages that do not depend on f (prep,
+    Hadamard butterflies) are built once however many circuits use them.
+    """
+    m = _operator(n_modes, stage)
+    m.setflags(write=False)
+    return m
+
+
 def circuit_operator(circuit: PhotonicCircuit) -> np.ndarray:
-    """Induced unitary of the whole circuit (measurement stage excluded)."""
-    return _operator(
-        circuit.n_modes, [comp for stage in circuit.stages for comp in stage]
-    )
+    """Induced unitary of the whole circuit: the product of its stage matrices."""
+    m = np.eye(2 * circuit.n_modes, dtype=complex)
+    for stage in circuit.stages:
+        m = _stage_operator(circuit.n_modes, stage) @ m
+    return m
 
 
 def simulate_photonic(circuit: PhotonicCircuit, state: WalkState) -> WalkState:
@@ -187,12 +210,10 @@ def simulate_photonic(circuit: PhotonicCircuit, state: WalkState) -> WalkState:
     """
     if state.topology.size != circuit.n_modes:
         raise ValueError("state and circuit mode counts differ")
-    amps = state.amplitudes.copy()
-    view = amps.reshape(2, circuit.n_modes)
+    amps = state.amplitudes
     norm = state.norm()
     for stage in circuit.stages:
-        for comp in stage:
-            _apply_component(view, comp)
+        amps = _stage_operator(circuit.n_modes, stage) @ amps
         if not abs(np.linalg.norm(amps) - norm) <= NORM_TOL:  # NaN fails
             raise ValueError("stage did not preserve the state norm")
     return WalkState(state.topology, amps)
@@ -207,14 +228,17 @@ _LOWERINGS = (
     (alg.COIN_HADAMARD, lambda mode: HWP(np.pi / 8, mode)),
     (alg.COIN_NEG_IDENTITY, lambda mode: PhaseShifter(np.pi, mode)),
 )
+_PATTERNS = np.array([pattern for pattern, _ in _LOWERINGS])
 
 
 def _lower_coin(coin: np.ndarray, mode: int) -> Optional[Component]:
     if coin.shape != (2, 2):
         raise UnsupportedCoin(f"coin at mode {mode} has shape {coin.shape}, not (2, 2)")
-    for pattern, factory in _LOWERINGS:
-        if np.max(np.abs(coin - pattern)) <= MATCH_TOL:
-            return None if factory is None else factory(mode)
+    # One comparison against the whole alphabet; the first match wins.
+    hits = np.flatnonzero(np.max(np.abs(coin - _PATTERNS), axis=(1, 2)) <= MATCH_TOL)
+    if hits.size:
+        factory = _LOWERINGS[hits[0]][1]
+        return None if factory is None else factory(mode)
     raise UnsupportedCoin(
         f"coin at mode {mode} has no exact lowering in the component set"
     )

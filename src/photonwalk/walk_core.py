@@ -8,6 +8,7 @@ shares that convention.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -51,12 +52,15 @@ def build_coin(params: CoinParams) -> np.ndarray:
 
     Returns e^{ip} [[e^{iq} cos t, e^{ir} sin t], [-e^{-ir} sin t, e^{-iq} cos t]].
     """
-    c = np.cos(params.theta)
-    s = np.sin(params.theta)
-    m = np.exp(1j * params.p) * np.array(
+    # Scalars and one array beat numpy's per-call overhead on four entries;
+    # cmath.exp turns an infinite angle into NaN, which _check_unitary rejects.
+    angles = (params.p, params.q, params.r, params.theta)
+    g, eq, er, et = (cmath.exp(1j * a) for a in angles)
+    c, s = et.real, et.imag
+    m = np.array(
         [
-            [np.exp(1j * params.q) * c, np.exp(1j * params.r) * s],
-            [-np.exp(-1j * params.r) * s, np.exp(-1j * params.q) * c],
+            [g * (eq * c), g * (er * s)],
+            [g * (-er.conjugate() * s), g * (eq.conjugate() * c)],
         ],
         dtype=complex,
     )

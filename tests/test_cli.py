@@ -171,6 +171,10 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "nope")
         assert code == 1
 
+    def test_empty_suite_name_is_an_unknown_suite(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "")
+        assert (code, out, err) == (1, "", "error: unknown suite ''\n")
+
     def test_perturbation_fails_fidelity(self, capsys):
         code, out, err = run(capsys, "verify", "--perturb", "hwp=0.01")
         assert code == 3

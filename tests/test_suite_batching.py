@@ -1,0 +1,82 @@
+"""The batched verify suites check exactly what the per-case loops checked."""
+
+import numpy as np
+import pytest
+
+from photonwalk import cli
+from photonwalk import walk_core as wc
+
+
+def per_case_norm_draws():
+    """The norm suite's cases as the per-case loop drew them: one QR per coin."""
+    rng = np.random.default_rng(7)
+    cases = []
+    for _ in range(50):
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        amps /= np.linalg.norm(amps)
+        coin_map = {}
+        for l in range(4):
+            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            coin_map[l], _ = np.linalg.qr(a)
+        shift = [None, wc.s_plus(0), wc.s_minus(1)][int(rng.integers(3))]
+        cases.append((amps, wc.WalkStep(coin_map, shift, rng.uniform(0, np.pi))))
+    return cases
+
+
+def test_norm_suite_steps_carry_the_per_case_draws(monkeypatch):
+    seen = []
+    apply_step = wc.apply_step
+
+    def recording_apply_step(state, step):
+        seen.append((state.amplitudes, step))
+        return apply_step(state, step)
+
+    monkeypatch.setattr(cli.wc, "apply_step", recording_apply_step)
+    cli._suite_norm_preservation({})
+    want = per_case_norm_draws()
+    assert len(seen) == len(want) == 50
+    for (amps, step), (want_amps, want_step) in zip(seen, want):
+        np.testing.assert_array_equal(amps, want_amps)
+        assert step == want_step  # by content: coin bytes, shift and phase
+
+
+def numpy_coin(p, q, r, theta):
+    """The coin formula evaluated with numpy ufuncs on each scalar."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.exp(1j * p) * np.array(
+        [
+            [np.exp(1j * q) * c, np.exp(1j * r) * s],
+            [-np.exp(-1j * r) * s, np.exp(-1j * q) * c],
+        ],
+        dtype=complex,
+    )
+
+
+def test_build_coin_matches_the_numpy_formula_on_the_suite_rows():
+    rng = np.random.default_rng(20240917)
+    for row in rng.uniform(-2 * np.pi, 2 * np.pi, size=(1000, 4)).tolist():
+        m = wc.build_coin(wc.CoinParams(*row))
+        assert m.dtype == complex and m.shape == (2, 2)
+        assert np.max(np.abs(m - numpy_coin(*row))) <= 1e-15
+
+
+@pytest.mark.parametrize("angle", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("which", range(4))
+def test_build_coin_rejects_a_non_finite_angle_as_not_unitary(angle, which):
+    params = [0.1, 0.2, 0.3, 0.4]
+    params[which] = angle
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(wc.WalkError, match=r"not unitary \(max deviation nan\)"):
+            wc.build_coin(wc.CoinParams(*params))
+
+
+def test_norm_suite_still_fails_on_a_drifting_step(monkeypatch):
+    apply_step = wc.apply_step
+
+    def drifting(state, step):
+        out = apply_step(state, step)
+        return wc.WalkState(out.topology, out.amplitudes * (1 + 1e-6))
+
+    monkeypatch.setattr(cli.wc, "apply_step", drifting)
+    with pytest.raises(AssertionError, match="norm drifted"):
+        cli._suite_norm_preservation({})
