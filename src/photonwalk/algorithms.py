@@ -101,10 +101,10 @@ class BooleanFn:
         table = tuple([int(b) for b in self.table if b in (0, 1)])
         if len(table) != len(self.table):
             raise ValueError("truth table entries must be 0 or 1")
-        if len(table) != 2**self.n:
-            raise ValueError(
-                f"truth table must have {2 ** self.n} entries, got {len(table)}"
-            )
+        # Compare bit lengths first, so a huge n never builds 2**n.
+        if len(table).bit_length() != self.n + 1 or len(table) != 2**self.n:
+            want = 2**self.n if self.n < 64 else f"2**{self.n}"
+            raise ValueError(f"truth table must have {want} entries, got {len(table)}")
         object.__setattr__(self, "table", table)
 
     def value(self, x: int) -> int:
@@ -230,14 +230,6 @@ def with_aux_index_map() -> np.ndarray:
         for v in range(4):
             p[c * 4 + v] = int(CYCLE_LABELS[v], 2) * 2 + c
     return p
-
-
-def walk_to_circuit_vector(amps: np.ndarray) -> np.ndarray:
-    """Reindex a with-aux walk state vector into the circuit basis."""
-    p = with_aux_index_map()
-    out = np.zeros_like(np.asarray(amps, dtype=complex))
-    out[p] = amps
-    return out
 
 
 def walk_to_circuit_operator(m: np.ndarray) -> np.ndarray:
@@ -439,18 +431,35 @@ def run_bv(s: str, scheme: str) -> BVOutcome:
 REFERENCE_MAX_N = 20
 
 
+# Up to this many qubits, _hadamard_all is one dense matmul: 128 x 128 at most.
+DENSE_HADAMARD_MAX_QUBITS = 7
+
+
+@functools.lru_cache(maxsize=None)
+def _sylvester(qubits: int) -> np.ndarray:
+    """Read-only +-1 Sylvester-Hadamard matrix of order 2**qubits."""
+    s = functools.reduce(np.kron, [[[1.0, 1.0], [1.0, -1.0]]] * qubits, np.ones((1, 1)))
+    s.setflags(write=False)
+    return s
+
+
 def _hadamard_all(vec: np.ndarray, qubits: int) -> None:
     """H on each of the first ``qubits`` factors of ``vec``, in place.
 
-    Qubit 0 is the most significant factor of the flat index.  Each qubit
-    is one sum-and-difference butterfly (fast Walsh-Hadamard transform);
-    the 2^(-1/2) factors are applied once at the end.
+    Qubit 0 is the most significant factor of the flat index.  A cached +-1
+    matrix multiplies the real view of ``vec``, or above the switch each qubit
+    is one sum-and-difference butterfly (fast Walsh-Hadamard transform); the
+    2^(-1/2) factors are applied once at the end.
     """
-    for q in range(qubits):
-        t = vec.reshape(2**q, 2, -1)
-        diff = t[:, 0] - t[:, 1]
-        t[:, 0] += t[:, 1]
-        t[:, 1] = diff
+    if qubits <= DENSE_HADAMARD_MAX_QUBITS:
+        t = vec.view(float).reshape(2**qubits, -1)
+        t[...] = _sylvester(qubits) @ t
+    else:
+        for q in range(qubits):
+            t = vec.reshape(2**q, 2, -1)
+            diff = t[:, 0] - t[:, 1]
+            t[:, 0] += t[:, 1]
+            t[:, 1] = diff
     vec *= 2 ** (-qubits / 2)
 
 

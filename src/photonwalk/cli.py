@@ -166,7 +166,7 @@ def cmd_bv(args) -> int:
 def _suite_coin_unitarity(perturb):
     # One draw of all rows gives the same stream as 1000 draws of size 4.
     angles = np.random.default_rng(20240917).uniform(-2 * np.pi, 2 * np.pi, size=(1000, 4))
-    coins = np.array([wc.build_coin(wc.CoinParams(*row)) for row in angles.tolist()])
+    coins = wc.build_coins(angles)
     devs = np.max(np.abs(coins.conj().transpose(0, 2, 1) @ coins - np.eye(2)), axis=(1, 2))
     det_devs = np.abs(np.linalg.det(coins) - np.exp(2j * angles[:, 0]))
     # Written as "not within", so a NaN deviation fails too.
@@ -335,6 +335,12 @@ def _parse_perturb(spec: Optional[str]) -> dict:
     return {key: value}
 
 
+# A suite that raises one of these fails with "<Type>: <message>"; others propagate.
+SUITE_ERRORS = (
+    wc.WalkError, ph.CompileError, ph.ModeCollision, alg.PromiseViolation, ValueError
+)
+
+
 def run_suites(names: Optional[Sequence[str]] = None, perturb: Optional[dict] = None):
     """Run verification suites; returns (name, passed, message) triples."""
     perturb = perturb or {}
@@ -350,6 +356,8 @@ def run_suites(names: Optional[Sequence[str]] = None, perturb: Optional[dict] = 
             results.append((name, True, ""))
         except AssertionError as exc:
             results.append((name, False, str(exc) or "assertion failed"))
+        except SUITE_ERRORS as exc:
+            results.append((name, False, f"{type(exc).__name__}: {exc}"))
     return results
 
 

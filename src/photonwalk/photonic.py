@@ -12,7 +12,7 @@ permuters are path relabelings and never count as physical components.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -365,18 +365,8 @@ def resource_report(functions: Sequence, algorithm: str = "dj") -> list:
         for scheme in alg.SCHEMES:
             circuit = compile(alg.build_dj_program(f, scheme), scheme, algorithm)
             c = count_components(circuit)
-            rows.append(
-                {
-                    "function_name": name,
-                    "scheme": scheme,
-                    "hwp": c.hwp,
-                    "bs": c.bs,
-                    "phase_shifter": c.phase_shifter,
-                    "pbs": c.pbs,
-                    "total": c.total,
-                    "readout": circuit.readout,
-                }
-            )
+            counts = {**asdict(c), "total": c.total, "readout": circuit.readout}
+            rows.append({"function_name": name, "scheme": scheme, **counts})
     return rows
 
 

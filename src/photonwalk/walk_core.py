@@ -8,7 +8,7 @@ shares that convention.
 
 from __future__ import annotations
 
-import cmath
+import functools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -52,20 +52,21 @@ def build_coin(params: CoinParams) -> np.ndarray:
 
     Returns e^{ip} [[e^{iq} cos t, e^{ir} sin t], [-e^{-ir} sin t, e^{-iq} cos t]].
     """
-    # Scalars and one array beat numpy's per-call overhead on four entries;
-    # cmath.exp turns an infinite angle into NaN, which _check_unitary rejects.
-    angles = (params.p, params.q, params.r, params.theta)
-    g, eq, er, et = (cmath.exp(1j * a) for a in angles)
-    c, s = et.real, et.imag
-    m = np.array(
-        [
-            [g * (eq * c), g * (er * s)],
-            [g * (-er.conjugate() * s), g * (eq.conjugate() * c)],
-        ],
-        dtype=complex,
-    )
-    _check_unitary(m)
-    return m
+    return build_coins([(params.p, params.q, params.r, params.theta)])[0]
+
+
+def build_coins(angles) -> np.ndarray:
+    """(N, 2, 2) coins for (N, 4) rows of (p, q, r, theta), unitarity-checked in one
+    pass; the first failing row's deviation is raised, NaN for a non-finite angle."""
+    g, eq, er, et = np.exp(1j * np.asarray(angles, dtype=float).reshape(-1, 4).T)
+    cos, sin = et.real, et.imag
+    entries = np.stack([eq * cos, er * sin, -er.conj() * sin, eq.conj() * cos], axis=1)
+    coins = (g[:, None] * entries).reshape(-1, 2, 2)
+    devs = np.max(np.abs(coins.conj().transpose(0, 2, 1) @ coins - np.eye(2)), axis=(1, 2))
+    bad = np.flatnonzero(~(devs <= MATCH_TOL))  # NaN fails
+    if bad.size:
+        raise WalkError(f"operator is not unitary (max deviation {devs[bad[0]]:.3e})")
+    return coins
 
 
 @dataclass(frozen=True)
@@ -272,15 +273,24 @@ def evolve(amps: np.ndarray, step: WalkStep) -> None:
         amps *= np.exp(1j * step.global_phase)
 
 
+@functools.lru_cache(maxsize=256)
+def _step_matrix(topology: Topology, step: WalkStep) -> np.ndarray:
+    """Read-only matrix of one step, ``evolve`` on the identity columns, built once
+    per distinct step and process; a step ``evolve`` rejects raises on every call."""
+    m = np.eye(topology.dim, dtype=complex)
+    evolve(m.reshape(2, topology.size, topology.dim), step)
+    m.setflags(write=False)
+    return m
+
+
 def program_operator(steps: Sequence[WalkStep], topology: Topology) -> np.ndarray:
-    """Operator of a whole program: ``evolve`` applied to the identity columns.
+    """Operator of a whole program: the product of its step matrices, a new array.
 
     Shifts on an open line include the wrap edge (see ``build_shift``).
     """
     m = np.eye(topology.dim, dtype=complex)
-    columns = m.reshape(2, topology.size, topology.dim)
     for step in steps:
-        evolve(columns, step)
+        m = _step_matrix(topology, step) @ m
         _check_unitary(m)
     return m
 
@@ -307,6 +317,7 @@ def run_program(state: WalkState, steps: Sequence[WalkStep]) -> WalkState:
     norm = state.norm()
     for i, step in enumerate(steps):
         try:
+            # Not _step_matrix: a matrix-vector product leaves ~1e-17 where evolve gives 0.
             evolve(view, step)
             if step.shift is not None:
                 edge = _forbidden_edge(step.shift, topology)
@@ -337,11 +348,6 @@ def measure_joint(state: WalkState) -> np.ndarray:
     """Per-(coin, position) probabilities as a (2, size) array."""
     n = state.topology.size
     return (np.abs(state.amplitudes) ** 2).reshape(2, n)
-
-
-def unitary_to_json(m: np.ndarray) -> list:
-    """Matrix as nested lists of [re, im] pairs."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
 
 
 def state_to_json(state: WalkState) -> dict:

@@ -57,6 +57,21 @@ class TestBooleanFnEntries:
         with pytest.raises(ValueError, match="n must be an int"):
             alg.BooleanFn(n, (0, 1))
 
+    @pytest.mark.parametrize(
+        "n,table,want",
+        [
+            (2, (0, 1), "4"),
+            (3, (0, 1, 0, 1), "8"),
+            (1, (0, 1, 0, 1), "2"),
+            (10**7, (0,), "2**10000000"),
+        ],
+        ids=["short", "power-of-two", "long", "huge-n"],
+    )
+    def test_rejects_a_table_of_the_wrong_length(self, n, table, want):
+        with pytest.raises(ValueError) as info:
+            alg.BooleanFn(n, table)
+        assert str(info.value) == f"truth table must have {want} entries, got {len(table)}"
+
     def test_integral_entries_become_ints(self):
         f = alg.BooleanFn(2, (1.0, np.int64(0), True, 0))
         assert f.table == (1, 0, 1, 0)
@@ -285,8 +300,9 @@ class TestDeutschJozsa:
         )
         ref = alg.brute_force_reference(scheme, f)
         walk_vec = final.amplitudes
-        if scheme == alg.WITH_AUX:
-            walk_vec = alg.walk_to_circuit_vector(walk_vec)
+        if scheme == alg.WITH_AUX:  # reindex into the circuit basis
+            walk_vec = np.zeros(8, dtype=complex)
+            walk_vec[alg.with_aux_index_map()] = final.amplitudes
         assert alg.equal_up_to_global_phase(walk_vec, ref, tol=1e-10)
 
     def test_promise_violation(self):

@@ -63,6 +63,14 @@ class TestDJ:
         assert out == ""
         assert "entries must be 0 or 1" in err
 
+    def test_table_with_a_huge_n_exit_1(self, capsys, tmp_path):
+        table = tmp_path / "t.json"
+        table.write_text(json.dumps({"n": 20000, "table": [0, 1]}))
+        code, out, err = run(capsys, "dj", "--table", str(table))
+        assert code == 1
+        assert out == ""
+        assert err == "error: table: truth table must have 2**20000 entries, got 2\n"
+
     @pytest.mark.parametrize("n", [2.5, "2", True], ids=["fraction", "string", "bool"])
     def test_table_non_int_n_exit_1(self, capsys, tmp_path, n):
         table = tmp_path / "t.json"

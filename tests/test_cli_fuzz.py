@@ -18,7 +18,8 @@ TEXT = st.text(max_size=6)
 JSON = st.recursive(
     st.none()
     | st.booleans()
-    | st.integers(-3, 8)  # BooleanFn computes 2**n before it rejects a large n
+    | st.integers(-3, 8)
+    | st.integers(9, 10**7)  # a huge n; BooleanFn never builds 2**n for it
     | st.floats()
     | st.text(max_size=3),
     lambda kids: st.lists(kids, max_size=5) | st.dictionaries(TEXT, kids, max_size=3),

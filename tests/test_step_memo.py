@@ -1,0 +1,157 @@
+"""One memoised matrix per walk step, the one-pass coin builder and the dense
+small-n reference Hadamard: each gives what the code it replaced gave."""
+
+import numpy as np
+import pytest
+
+from photonwalk import algorithms as alg
+from photonwalk import walk_core as wc
+
+CASES = [(name, f) for name, f in alg.two_bit_catalogue()]
+CASES += [(f"bv {s}", alg.hidden_string_fn(s)) for s, _ in alg.BV_STRINGS]
+
+
+def evolve_fold(steps, topology):
+    """The program's operator, ``evolve`` applied step by step to the identity columns."""
+    m = np.eye(topology.dim, dtype=complex)
+    columns = m.reshape(2, topology.size, topology.dim)
+    for step in steps:
+        wc.evolve(columns, step)
+    return m
+
+
+def programs():
+    for scheme in alg.SCHEMES:
+        for name, f in CASES:
+            yield f"dj {name}/{scheme}", alg.build_dj_program(f, scheme), scheme
+            if not name.startswith("bv"):
+                yield f"oracle {name}/{scheme}", alg._dj_oracle(f, scheme), scheme
+        for include_coin in (True, False):
+            layer = alg.hadamard_layer(scheme, include_coin=include_coin)
+            yield f"hadamard coin={include_coin}/{scheme}", layer, scheme
+
+
+PROGRAMS = list(programs())
+
+
+@pytest.mark.parametrize("name,steps,scheme", PROGRAMS, ids=[p[0] for p in PROGRAMS])
+def test_program_operator_equals_the_evolve_fold_exactly(name, steps, scheme):
+    topo = alg.scheme_topology(scheme)
+    assert np.array_equal(wc.program_operator(steps, topo), evolve_fold(steps, topo))
+
+
+def test_step_memo_is_bounded():
+    assert wc._step_matrix.cache_info().maxsize == 256
+
+
+def test_step_matrices_are_read_only_and_shared():
+    step = wc.WalkStep({1: alg.COIN_X}, wc.s_plus(0))
+    m = wc._step_matrix(alg.CYCLE4, step)
+    assert m is wc._step_matrix(alg.CYCLE4, wc.WalkStep({1: alg.COIN_X}, wc.s_plus(0)))
+    with pytest.raises(ValueError):
+        m[0, 0] = 0.0
+    np.testing.assert_array_equal(m, evolve_fold([step], alg.CYCLE4))
+
+
+def test_operators_are_new_writable_arrays():
+    step = wc.WalkStep({0: alg.COIN_HADAMARD})
+    memo = wc._step_matrix(alg.LINE2, step)
+    for op in (wc.step_operator(step, alg.LINE2), wc.program_operator([step], alg.LINE2)):
+        assert op is not memo and not np.shares_memory(op, memo)
+        op[0, 0] = 5.0  # writable, and the memo entry is untouched
+        assert memo[0, 0] == alg.COIN_HADAMARD[0, 0]
+
+
+@pytest.mark.parametrize(
+    "step,message",
+    [
+        (wc.WalkStep({7: alg.COIN_X}), "coin position 7 outside a topology of size 4"),
+        (wc.WalkStep({1: alg.COIN_X * 1.1}), "coin at position 1 is not unitary"),
+        (wc.WalkStep({1: np.eye(3)}), r"has shape \(3, 3\), not \(2, 2\)"),
+    ],
+    ids=["position", "non-unitary", "shape"],
+)
+def test_a_bad_step_raises_on_every_call_and_is_never_cached(step, message):
+    for _ in range(3):
+        with pytest.raises(wc.WalkError, match=message):
+            wc.program_operator([step], alg.CYCLE4)
+        with pytest.raises(wc.WalkError, match=message):
+            wc._step_matrix(alg.CYCLE4, step)
+    wc._step_matrix(alg.CYCLE4, wc.WalkStep())
+    hits = wc._step_matrix.cache_info().hits
+    with pytest.raises(wc.WalkError):
+        wc._step_matrix(alg.CYCLE4, step)
+    assert wc._step_matrix.cache_info().hits == hits
+
+
+def test_a_nan_phase_fails_the_running_product_check_on_every_call():
+    step = wc.WalkStep(global_phase=float("nan"))
+    for _ in range(2):
+        with pytest.raises(wc.WalkError, match=r"not unitary \(max deviation nan\)"):
+            wc.program_operator([wc.WalkStep(), step], alg.LINE2)
+
+
+SUITE_ROWS = np.random.default_rng(20240917).uniform(-2 * np.pi, 2 * np.pi, size=(1000, 4))
+
+
+def test_build_coins_equals_build_coin_bitwise_on_the_suite_rows():
+    coins = wc.build_coins(SUITE_ROWS)
+    assert coins.dtype == complex and coins.shape == (1000, 2, 2)
+    for row, coin in zip(SUITE_ROWS.tolist(), coins):
+        assert wc.build_coin(wc.CoinParams(*row)).tobytes() == coin.tobytes()
+
+
+def test_build_coins_rejects_a_nan_row():
+    rows = SUITE_ROWS[:5].copy()
+    rows[3, 2] = np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(wc.WalkError, match=r"not unitary \(max deviation nan\)"):
+            wc.build_coins(rows)
+
+
+def butterflies(vec, qubits):
+    """The reference's Walsh-Hadamard butterflies, as above the dense switch."""
+    for q in range(qubits):
+        t = vec.reshape(2**q, 2, -1)
+        diff = t[:, 0] - t[:, 1]
+        t[:, 0] += t[:, 1]
+        t[:, 1] = diff
+    vec *= 2 ** (-qubits / 2)
+
+
+@pytest.mark.parametrize("qubits", range(1, 10))
+@pytest.mark.parametrize("extra", [0, 1], ids=["all", "aux-left"])
+def test_dense_hadamard_matches_the_butterflies(monkeypatch, qubits, extra):
+    monkeypatch.setattr(alg, "DENSE_HADAMARD_MAX_QUBITS", 9)
+    rng = np.random.default_rng(qubits)
+    want = rng.normal(size=2 ** (qubits + extra)) + 1j * rng.normal(size=2 ** (qubits + extra))
+    want /= np.linalg.norm(want)
+    got = want.copy()
+    alg._hadamard_all(got, qubits)
+    butterflies(want, qubits)
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_the_reference_switches_to_butterflies_above_seven_qubits(monkeypatch):
+    calls = []
+    sylvester = alg._sylvester
+
+    def recording(qubits):
+        calls.append(qubits)
+        return sylvester(qubits)
+
+    monkeypatch.setattr(alg, "_sylvester", recording)
+    rng = np.random.default_rng(3)
+    for n in (6, 10):
+        f = alg.BooleanFn(n, tuple(rng.integers(0, 2, size=2**n).tolist()))
+        for scheme in alg.SCHEMES:
+            alg.brute_force_reference(scheme, f)
+    assert calls == [7, 6, 6, 6]  # n = 6 only: with-aux on 7 then 6 qubits, no-aux 6 twice
+
+
+def test_sylvester_matrices_are_read_only_hadamards():
+    s = alg._sylvester(3)
+    assert s is alg._sylvester(3)
+    np.testing.assert_array_equal(s @ s, 8 * np.eye(8))
+    with pytest.raises(ValueError):
+        s[0, 0] = 0.0

@@ -144,26 +144,51 @@ def test_coin_suite_draws_the_per_call_rows(monkeypatch):
     rng = np.random.default_rng(20240917)
     want = [tuple(rng.uniform(-2 * np.pi, 2 * np.pi, size=4)) for _ in range(1000)]
     seen = []
-    build_coin = wc.build_coin
+    build_coins = wc.build_coins
 
-    def recording_build_coin(params):
-        seen.append((params.p, params.q, params.r, params.theta))
-        return build_coin(params)
+    def recording_build_coins(angles):
+        seen.extend(map(tuple, np.asarray(angles).tolist()))
+        return build_coins(angles)
 
-    monkeypatch.setattr(cli.wc, "build_coin", recording_build_coin)
+    monkeypatch.setattr(cli.wc, "build_coins", recording_build_coins)
     cli._suite_coin_unitarity({})
     assert seen == want
 
 
 def test_coin_suite_names_the_first_failing_coin(monkeypatch):
-    calls = []
-    build_coin = wc.build_coin
+    build_coins = wc.build_coins
 
-    def skewed(params):
-        calls.append(params)
-        m = build_coin(params)
-        return m * (1 + 1e-9) if len(calls) in (7, 9) else m
+    def skewed(angles):
+        coins = build_coins(angles)
+        coins[[6, 8]] *= 1 + 1e-9  # the 7th and 9th coins
+        return coins
 
-    monkeypatch.setattr(cli.wc, "build_coin", skewed)
+    monkeypatch.setattr(cli.wc, "build_coins", skewed)
     with pytest.raises(AssertionError, match=r"coin 6: unitarity deviation .*tolerance 1e-12"):
         cli._suite_coin_unitarity({})
+
+
+@pytest.mark.parametrize(
+    "error", [wc.WalkError, wc.BoundaryViolation, ph.CompileError, ValueError]
+)
+def test_a_suite_that_raises_a_library_error_fails_with_its_type(monkeypatch, capsys, error):
+    name = error.__name__
+
+    def broken(angles):
+        raise error("boom")
+
+    monkeypatch.setattr(cli.wc, "build_coins", broken)
+    code = cli.main(["verify", "--suite", "coin-unitarity"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VERIFY
+    assert captured.out == f"coin-unitarity: FAIL -- {name}: boom\n"
+    assert captured.err == f"first failure: coin-unitarity: {name}: boom\n"
+
+
+def test_other_errors_inside_a_suite_still_propagate(monkeypatch):
+    def broken(angles):
+        raise RuntimeError("not a check")
+
+    monkeypatch.setattr(cli.wc, "build_coins", broken)
+    with pytest.raises(RuntimeError, match="not a check"):
+        cli.run_suites(["coin-unitarity"])

@@ -248,10 +248,6 @@ class TestMeasurement:
 
 
 class TestSerialization:
-    def test_unitary_json(self):
-        blob = wc.unitary_to_json(np.array([[1j, 0], [0, -1]]))
-        assert blob == [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
-
     def test_state_json(self):
         blob = wc.state_to_json(WalkState.basis(LINE2, 1, 0))
         assert blob["kind"] == wc.OPEN_LINE
