@@ -98,9 +98,14 @@ class BooleanFn:
         if self.n < 1:
             raise ValueError("need at least one input bit")
         # Check the raw entries before int(), so 0.5 or "1" is not coerced.
-        table = tuple([int(b) for b in self.table if b in (0, 1)])
-        if len(table) != len(self.table):
+        try:
+            bits = set(self.table) <= {0, 1}
+        except TypeError:  # an unhashable entry
+            bits = False
+        if not bits:
             raise ValueError("truth table entries must be 0 or 1")
+        ints = set(map(type, self.table)) == {int}
+        table = tuple(self.table) if ints else tuple(map(int, self.table))
         # Compare bit lengths first, so a huge n never builds 2**n.
         if len(table).bit_length() != self.n + 1 or len(table) != 2**self.n:
             want = 2**self.n if self.n < 64 else f"2**{self.n}"
@@ -419,11 +424,15 @@ def run_bv(s: str, scheme: str) -> BVOutcome:
     f = hidden_string_fn(s)
     if f.n == 2:
         dist = _readout(_dj_final_state(f, scheme), scheme)
+        recovered = max(sorted(dist), key=dist.__getitem__)
     else:
         probs = _reference_probabilities(scheme, f)
-        labels = map("".join, itertools.product("01", repeat=f.n))  # x order
+        # x order: every high half-label followed by every low one.
+        high = list(map("".join, itertools.product("01", repeat=f.n // 2)))
+        low = list(map("".join, itertools.product("01", repeat=f.n - f.n // 2)))
+        labels = [h + l for h in high for l in low]
         dist = dict(zip(labels, probs.tolist()))
-    recovered = max(sorted(dist), key=dist.__getitem__)
+        recovered = labels[int(np.argmax(probs))]
     return BVOutcome(scheme, s, recovered, dist[recovered], dist)
 
 
@@ -431,8 +440,10 @@ def run_bv(s: str, scheme: str) -> BVOutcome:
 REFERENCE_MAX_N = 20
 
 
-# Up to this many qubits, _hadamard_all is one dense matmul: 128 x 128 at most.
-DENSE_HADAMARD_MAX_QUBITS = 7
+# At most 2^19 multiply-adds per BLAS call: OpenBLAS 0.3.31 runs larger products
+# on its thread pool, which took 16-32 ms a call on a 2-vCPU VM.
+HADAMARD_CHUNK_QUBITS = 7
+HADAMARD_CALL_MADDS = 2**19
 
 
 @functools.lru_cache(maxsize=None)
@@ -444,30 +455,31 @@ def _sylvester(qubits: int) -> np.ndarray:
 
 
 def _hadamard_all(vec: np.ndarray, qubits: int) -> None:
-    """H on each of the first ``qubits`` factors of ``vec``, in place.
+    """Unnormalised H on each of the first ``qubits`` factors of ``vec``, in place.
 
-    Qubit 0 is the most significant factor of the flat index.  A cached +-1
-    matrix multiplies the real view of ``vec``, or above the switch each qubit
-    is one sum-and-difference butterfly (fast Walsh-Hadamard transform); the
-    2^(-1/2) factors are applied once at the end.
+    Qubit 0 is the most significant factor of the flat index.  H^(a+b) = H^a (x)
+    H^b: each near-equal chunk of at most ``HADAMARD_CHUNK_QUBITS`` qubits is one
+    +-1 Sylvester product on the real view, a slice of columns at a time.  With
+    no 2^(-1/2) factor, integer-valued input stays integer-valued and exact.
     """
-    if qubits <= DENSE_HADAMARD_MAX_QUBITS:
-        t = vec.view(float).reshape(2**qubits, -1)
-        t[...] = _sylvester(qubits) @ t
-    else:
-        for q in range(qubits):
-            t = vec.reshape(2**q, 2, -1)
-            diff = t[:, 0] - t[:, 1]
-            t[:, 0] += t[:, 1]
-            t[:, 1] = diff
-    vec *= 2 ** (-qubits / 2)
+    t = vec.view(float)
+    chunks = -(-qubits // HADAMARD_CHUNK_QUBITS)
+    done = 0
+    for i in range(chunks):
+        c = (qubits - done) // (chunks - i)
+        rest = t.size >> (done + c)
+        width = min(rest, HADAMARD_CALL_MADDS >> 2 * c)  # columns per call
+        s = t.reshape(2**done, 2**c, rest // width, width).swapaxes(1, 2)
+        s[...] = _sylvester(c) @ s
+        done += c
 
 
 def brute_force_reference(scheme: str, f: BooleanFn) -> np.ndarray:
     """Textbook dense-state execution, independent of all walk machinery.
 
     Returns the final state vector in the computational basis: |x1..xn>|aux>
-    for the with-aux scheme, |x1..xn> otherwise.
+    for the with-aux scheme, |x1..xn> otherwise.  The Hadamard layers are
+    unnormalised: amplitudes are exact integers until the one final scaling.
     """
     n = f.n
     if n > REFERENCE_MAX_N:
@@ -481,6 +493,7 @@ def brute_force_reference(scheme: str, f: BooleanFn) -> np.ndarray:
         _hadamard_all(vec, n)
         vec *= np.where(mask, -1.0, 1.0)
         _hadamard_all(vec, n)
+        vec *= 2.0**-n
         return vec
     if scheme == WITH_AUX:
         vec = np.zeros(2 ** (n + 1), dtype=complex)
@@ -490,6 +503,7 @@ def brute_force_reference(scheme: str, f: BooleanFn) -> np.ndarray:
         pairs = vec.reshape(-1, 2)
         pairs[mask] = pairs[mask, ::-1]
         _hadamard_all(vec, n)
+        vec *= 2 ** (-(2 * n + 1) / 2)
         return vec
     raise ValueError(f"unknown scheme: {scheme!r}")
 

@@ -45,8 +45,16 @@ class TestClassify:
 
 class TestBooleanFnEntries:
     @pytest.mark.parametrize(
-        "table", [(0.5, 0, 1, 1), "0011", ("0", "0", "1", "1")],
-        ids=["fraction", "string", "string-entries"],
+        "table",
+        [
+            (0.5, 0, 1, 1),
+            "0011",
+            ("0", "0", "1", "1"),
+            ([1], 0, 1, 1),
+            (np.array([1]), 0, 1, 1),
+            (float("nan"), 0, 1, 1),
+        ],
+        ids=["fraction", "string", "string-entries", "list-entry", "array-entry", "nan"],
     )
     def test_rejects_non_bit_entries(self, table):
         with pytest.raises(ValueError, match="entries must be 0 or 1"):
@@ -76,6 +84,14 @@ class TestBooleanFnEntries:
         f = alg.BooleanFn(2, (1.0, np.int64(0), True, 0))
         assert f.table == (1, 0, 1, 0)
         assert all(type(b) is int for b in f.table)
+
+    def test_a_tuple_of_ints_is_stored_unchanged(self):
+        table = (0, 1, 1, 0)
+        assert alg.BooleanFn(2, table).table is table
+
+    def test_a_list_is_stored_as_a_tuple(self):
+        f = alg.BooleanFn(2, [0, 1, 1, 0])
+        assert f.table == (0, 1, 1, 0) and type(f.table) is tuple
 
 
 class TestCatalogue:

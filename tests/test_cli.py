@@ -52,8 +52,8 @@ class TestDJ:
         assert err == "error: walk schemes support 2-bit functions\n"
 
     @pytest.mark.parametrize(
-        "entries", [[0.5, 0, 1, 1], "0011", ["0", "0", "1", "1"]],
-        ids=["fraction", "string", "string-entries"],
+        "entries", [[0.5, 0, 1, 1], "0011", ["0", "0", "1", "1"], [[1], 0, 1, 1]],
+        ids=["fraction", "string", "string-entries", "list-entry"],
     )
     def test_table_non_bit_entries_exit_1(self, capsys, tmp_path, entries):
         table = tmp_path / "t.json"
@@ -61,7 +61,7 @@ class TestDJ:
         code, out, err = run(capsys, "dj", "--table", str(table))
         assert code == 1
         assert out == ""
-        assert "entries must be 0 or 1" in err
+        assert err == "error: table: truth table entries must be 0 or 1\n"
 
     def test_table_with_a_huge_n_exit_1(self, capsys, tmp_path):
         table = tmp_path / "t.json"

@@ -116,3 +116,26 @@ def test_reference_rejects_n_above_the_limit(scheme):
     too_big = SimpleNamespace(n=alg.REFERENCE_MAX_N + 1)  # no table is built
     with pytest.raises(ValueError, match=r"^brute-force reference supports n <= 20, got n = 21$"):
         alg.brute_force_reference(scheme, too_big)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_the_reference_is_exact_on_the_promise(n):
+    """Unnormalised Hadamards keep every amplitude an integer until the one
+    final scaling, so a zero is exactly 0.0 and a one is within an ulp."""
+    rng = random.Random(300 + n)
+    half = [0] * 2 ** (n - 1) + [1] * 2 ** (n - 1)
+    rng.shuffle(half)
+    balanced = alg.BooleanFn(n, tuple(half))
+    s = "".join(rng.choice("01") for _ in range(n))
+    for scheme in alg.SCHEMES:
+        assert alg.brute_force_p_all_zero(scheme, balanced) == 0.0
+        for bit in (0, 1):
+            p = alg.brute_force_p_all_zero(scheme, alg.BooleanFn(n, (bit,) * 2**n))
+            assert abs(p - 1.0) <= 2.3e-16
+        probs = alg._reference_probabilities(scheme, alg.hidden_string_fn(s))
+        assert abs(probs[int(s, 2)] - 1.0) <= 2.3e-16
+        assert np.count_nonzero(probs) == 1  # exactly 0.0 off s
+        if n != 2:  # two bits run through the walk, not the reference
+            out = alg.run_bv(s, scheme)
+            assert out.recovered == s and out.probability == probs[int(s, 2)]
+            assert list(out.distribution.values()) == probs.tolist()

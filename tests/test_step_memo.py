@@ -1,5 +1,5 @@
-"""One memoised matrix per walk step, the one-pass coin builder and the dense
-small-n reference Hadamard: each gives what the code it replaced gave."""
+"""One memoised matrix per walk step, the one-pass coin builder and the
+reference's chunked Sylvester Hadamard: each gives what the code it replaced gave."""
 
 import numpy as np
 import pytest
@@ -110,43 +110,57 @@ def test_build_coins_rejects_a_nan_row():
 
 
 def butterflies(vec, qubits):
-    """The reference's Walsh-Hadamard butterflies, as above the dense switch."""
+    """Unscaled Walsh-Hadamard butterflies: one sum and difference per qubit."""
     for q in range(qubits):
         t = vec.reshape(2**q, 2, -1)
         diff = t[:, 0] - t[:, 1]
         t[:, 0] += t[:, 1]
         t[:, 1] = diff
-    vec *= 2 ** (-qubits / 2)
 
 
-@pytest.mark.parametrize("qubits", range(1, 10))
+@pytest.mark.parametrize("qubits", range(1, 15))
 @pytest.mark.parametrize("extra", [0, 1], ids=["all", "aux-left"])
-def test_dense_hadamard_matches_the_butterflies(monkeypatch, qubits, extra):
-    monkeypatch.setattr(alg, "DENSE_HADAMARD_MAX_QUBITS", 9)
+def test_dense_hadamard_matches_the_butterflies(qubits, extra):
     rng = np.random.default_rng(qubits)
-    want = rng.normal(size=2 ** (qubits + extra)) + 1j * rng.normal(size=2 ** (qubits + extra))
+    size = 2 ** (qubits + extra)
+    signs = rng.choice([-1.0, 1.0], size=size) + 1j * rng.choice([-1.0, 1.0], size=size)
+    small = rng.integers(-9, 10, size=size) + 1j * rng.integers(-9, 10, size=size)
+    for exact in (signs, small):  # integer-valued: both sides are exact
+        got, want = exact.copy(), exact.copy()
+        alg._hadamard_all(got, qubits)
+        butterflies(want, qubits)
+        assert got.tobytes() == want.tobytes()
+    want = rng.normal(size=size) + 1j * rng.normal(size=size)
     want /= np.linalg.norm(want)
     got = want.copy()
     alg._hadamard_all(got, qubits)
     butterflies(want, qubits)
-    assert np.max(np.abs(got - want)) <= 1e-15
+    assert np.max(np.abs(got - want)) <= 1e-15 * 2 ** (qubits / 2)
 
 
-def test_the_reference_switches_to_butterflies_above_seven_qubits(monkeypatch):
-    calls = []
+def test_every_blas_product_is_small(monkeypatch):
+    """At most 7 qubits and 2^19 multiply-adds: larger products go to OpenBLAS's threads."""
+    products = []
     sylvester = alg._sylvester
 
-    def recording(qubits):
-        calls.append(qubits)
-        return sylvester(qubits)
+    class Recording:
+        def __init__(self, qubits):
+            self.m = sylvester(qubits)
 
-    monkeypatch.setattr(alg, "_sylvester", recording)
+        def __matmul__(self, other):
+            products.append((self.m.shape[0], other.shape[-1]))
+            return self.m @ other
+
+    monkeypatch.setattr(alg, "_sylvester", Recording)
     rng = np.random.default_rng(3)
-    for n in (6, 10):
+    for n in (6, 10, 14):
         f = alg.BooleanFn(n, tuple(rng.integers(0, 2, size=2**n).tolist()))
         for scheme in alg.SCHEMES:
             alg.brute_force_reference(scheme, f)
-    assert calls == [7, 6, 6, 6]  # n = 6 only: with-aux on 7 then 6 qubits, no-aux 6 twice
+    vec = np.zeros(2**20, dtype=complex)
+    alg._hadamard_all(vec, 20)
+    assert products and all(rows <= 128 and rows * rows * cols <= 2**19 for rows, cols in products)
+    assert products[-3:] == [(64, 128), (128, 32), (128, 2)]  # 20 qubits in 6 + 7 + 7
 
 
 def test_sylvester_matrices_are_read_only_hadamards():
