@@ -131,7 +131,12 @@ def _fn_from_rule(rule: Callable[[int, int], int]) -> BooleanFn:
 
 def two_bit_catalogue() -> list:
     """The eight constant-or-balanced two-bit functions, in roman-numeral order."""
-    return [
+    return list(_catalogue())
+
+
+@functools.lru_cache(maxsize=1)
+def _catalogue() -> tuple:
+    return (
         ("i", _fn_from_rule(lambda x1, x2: 0)),
         ("ii", _fn_from_rule(lambda x1, x2: 1)),
         ("iii", _fn_from_rule(lambda x1, x2: x1)),
@@ -140,7 +145,7 @@ def two_bit_catalogue() -> list:
         ("vi", _fn_from_rule(lambda x1, x2: 1 - x2)),
         ("vii", _fn_from_rule(lambda x1, x2: x1 ^ x2)),
         ("viii", _fn_from_rule(lambda x1, x2: 1 - (x1 ^ x2))),
-    ]
+    )
 
 
 def hidden_string_fn(s: str) -> BooleanFn:
@@ -295,12 +300,16 @@ def _position_hadamard_no_aux() -> list:
 
 def hadamard_layer(scheme: str, include_coin: bool = True) -> list:
     """Walk program applying H to the position qubits and, optionally, the coin."""
+    return list(_hadamard_steps(scheme, bool(include_coin)))
+
+
+@functools.lru_cache(maxsize=4)
+def _hadamard_steps(scheme: str, include_coin: bool) -> tuple:
+    """``hadamard_layer``'s steps, built once per layer and process."""
     size = scheme_topology(scheme).size
     pos = _position_hadamard_with_aux() if scheme == WITH_AUX else _position_hadamard_no_aux()
-    steps = []
-    if include_coin:
-        steps.append(WalkStep(_uniform(COIN_HADAMARD, size), tag=TAG_COIN_HADAMARD))
-    return steps + pos
+    coin = WalkStep(_uniform(COIN_HADAMARD, size), tag=TAG_COIN_HADAMARD)
+    return (coin, *pos) if include_coin else tuple(pos)
 
 
 @dataclass(frozen=True)
@@ -316,23 +325,21 @@ class DJOutcome:
 @functools.lru_cache(maxsize=None)
 def _dj_prefix(scheme: str) -> tuple:
     """Steps before the oracle: state preparation and the first H layer."""
-    if scheme == WITH_AUX:
-        return (WalkStep({0: COIN_X}, tag=TAG_PREP), *hadamard_layer(WITH_AUX))
-    if scheme == NO_AUX:
-        return tuple(hadamard_layer(NO_AUX))
-    raise ValueError(f"unknown scheme: {scheme!r}")
+    prep = (WalkStep({0: COIN_X}, tag=TAG_PREP),) if scheme == WITH_AUX else ()
+    return (*prep, *_hadamard_steps(scheme, True))
 
 
+@functools.lru_cache(maxsize=2 * 16)  # at most 16 two-bit tables per scheme
 def _dj_oracle(f: BooleanFn, scheme: str) -> tuple:
-    """The oracle step, the only part of a run that depends on f."""
+    """The oracle step, the only part of a run that depends on f; one per (f, scheme)."""
+    scheme_topology(scheme)  # an unknown scheme raises, and is never cached
     build = build_oracle_with_aux if scheme == WITH_AUX else build_oracle_no_aux
     return build(f).steps
 
 
-@functools.lru_cache(maxsize=None)
 def _dj_suffix(scheme: str) -> tuple:
     """Steps after the oracle: the final H layer (with-aux leaves the coin alone)."""
-    return tuple(hadamard_layer(scheme, include_coin=scheme == NO_AUX))
+    return _hadamard_steps(scheme, scheme == NO_AUX)
 
 
 def build_dj_program(f: BooleanFn, scheme: str) -> list:

@@ -180,24 +180,24 @@ def _suite_coin_unitarity(perturb):
 def _suite_shift_structure(perturb):
     topos = [alg.CYCLE4, alg.LINE2, wc.Topology(wc.OPEN_LINE, 5)]
     shifts = [wc.s_plus(0), wc.s_plus(1), wc.s_minus(0), wc.s_minus(1)]
-    for topo in topos:
-        for shift in shifts:
-            m = wc.build_shift(shift, topo)
-            mags = np.abs(m)
-            assert np.all(np.isclose(mags.sum(axis=0), 1.0)), "not a permutation"
-            assert np.all(np.isclose(mags.sum(axis=1), 1.0)), "not a permutation"
-            assert np.all((mags < wc.EXACT_TOL) | (np.abs(mags - 1) < wc.EXACT_TOL))
+    for topo in topos:  # axis 0 is the shift, so axis 1 sums columns and axis 2 rows
+        mags = np.abs(np.array([wc.build_shift(shift, topo) for shift in shifts]))
+        assert np.all(np.isclose(mags.sum(axis=1), 1.0)), "not a permutation"
+        assert np.all(np.isclose(mags.sum(axis=2), 1.0)), "not a permutation"
+        assert np.all((mags < wc.EXACT_TOL) | (np.abs(mags - 1) < wc.EXACT_TOL))
 
 
 def _suite_norm_preservation(perturb):
     rng = np.random.default_rng(7)
     cases, raw = [], []
     for _ in range(50):  # each case draws its state, four coins, shift and phase
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        raw += [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(4)]
+        draw = rng.normal(size=48)  # sequential: state 8 + 8, then 4 coins of 4 + 4
+        amps = draw[:8] + 1j * draw[8:16]
+        raw.append(draw[16:])
         shift = [None, wc.s_plus(0), wc.s_minus(1)][int(rng.integers(3))]
         cases.append((amps / np.linalg.norm(amps), shift, rng.uniform(0, np.pi)))
-    coins, _ = np.linalg.qr(np.array(raw))  # one stacked QR for all 200 coins
+    parts = np.reshape(raw, (200, 2, 4))  # per coin: 4 real parts, then 4 imaginary
+    coins, _ = np.linalg.qr((parts[:, 0] + 1j * parts[:, 1]).reshape(200, 2, 2))
     for i, (amps, shift, phase) in enumerate(cases):
         state = wc.WalkState(alg.CYCLE4, amps)
         coin_map = dict(enumerate(coins[4 * i : 4 * i + 4]))

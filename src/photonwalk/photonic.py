@@ -244,6 +244,16 @@ def _lower_coin(coin: np.ndarray, mode: int) -> Optional[Component]:
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _lower_step(step) -> tuple:
+    """Components of one step outside a position-Hadamard block, in mode order; each
+    distinct step is lowered once per process, and one with no lowering raises every call."""
+    if step.shift is not None:
+        raise UnsupportedCoin("shift outside a position-Hadamard block has no lowering")
+    comps = (_lower_coin(step.coin_map[mode], mode) for mode in sorted(step.coin_map))
+    return tuple(comp for comp in comps if comp is not None)
+
+
 def _position_hadamard_stages(n_modes: int) -> list:
     # Beam splitters realize H on the path qubits; on four modes a butterfly
     # of two BS stages with interleaved relabelings gives H on both working
@@ -297,7 +307,8 @@ def compile(program: Sequence, scheme: str, algorithm: str = "dj") -> PhotonicCi
     Position-dependent coins become per-mode HWPs or phase shifters;
     position-Hadamard blocks become BS stages.  The compiled operator is
     checked against the walk operator block by block; a position-Hadamard
-    block is checked once per distinct content and process (``_block_matches``).
+    block is checked once per distinct content and process (``_block_matches``),
+    and every other step is lowered once per distinct step (``_lower_step``).
     """
     topo = alg.scheme_topology(scheme)
     n_modes = topo.size
@@ -317,15 +328,7 @@ def compile(program: Sequence, scheme: str, algorithm: str = "dj") -> PhotonicCi
             stages.extend(_position_hadamard_stages(n_modes))
             i = j
             continue
-        if step.shift is not None:
-            raise UnsupportedCoin(
-                "shift outside a position-Hadamard block has no lowering"
-            )
-        stage = []
-        for mode in sorted(step.coin_map):
-            comp = _lower_coin(step.coin_map[mode], mode)
-            if comp is not None:
-                stage.append(comp)
+        stage = _lower_step(step)
         if stage:
             stages.append(stage)
         i += 1

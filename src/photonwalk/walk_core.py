@@ -155,6 +155,7 @@ class WalkStep:
     global_phase: float = 0.0
     tag: Optional[str] = None
     _key: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
     _nonunitary: Optional[tuple] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -167,6 +168,7 @@ class WalkStep:
             (type(l), l, c.dtype.str, c.shape, c.tobytes()) for l, c in coins.items()
         )
         object.__setattr__(self, "_key", (self.tag, self.shift, self.global_phase, content))
+        object.__setattr__(self, "_hash", hash(self._key))  # once, not per memo lookup
         # (position, deviation) of the first coin that is not unitary, if any.
         nonunitary = None
         for l, c in coins.items():
@@ -181,7 +183,7 @@ class WalkStep:
         return isinstance(other, WalkStep) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -242,6 +244,14 @@ def _check_unitary(m: np.ndarray) -> None:
         raise WalkError(f"operator is not unitary (max deviation {dev:.3e})")
 
 
+@functools.lru_cache(maxsize=64)
+def _roll_index(size: int, direction: int) -> np.ndarray:
+    """Read-only gather index of ``np.roll`` by ``direction`` over ``size`` sites."""
+    index = (np.arange(size) - direction) % size
+    index.setflags(write=False)
+    return index
+
+
 def evolve(amps: np.ndarray, step: WalkStep) -> None:
     """Apply one step in place to ``amps``, a (2, size, ...) coin x position view.
 
@@ -268,7 +278,7 @@ def evolve(amps: np.ndarray, step: WalkStep) -> None:
         if size < 2:
             raise ValueError("shift requires at least two positions")
         row = amps[step.shift.coin]
-        row[...] = np.roll(row, step.shift.direction, axis=0)
+        row[...] = row[_roll_index(size, step.shift.direction)]
     if step.global_phase != 0.0:
         amps *= np.exp(1j * step.global_phase)
 
