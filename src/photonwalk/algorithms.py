@@ -32,6 +32,7 @@ from .walk_core import (
     WalkError,
     WalkState,
     WalkStep,
+    _norm,
     measure_joint,
     measure_position,
     program_operator,
@@ -219,14 +220,14 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = NORM_TOL
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
     a, b = a.ravel(), b.ravel()
-    i = int(np.argmax(np.abs(a)))
+    i = int(np.abs(a).argmax())
     if abs(a[i]) <= MATCH_TOL:
-        return bool(np.max(np.abs(b)) <= tol)
+        return bool(np.abs(b).max() <= tol)
     if abs(b[i]) <= MATCH_TOL:
         return False
     phase = a[i] / b[i]
     phase /= abs(phase)
-    return bool(np.max(np.abs(a - phase * b)) <= tol)
+    return bool(np.abs(a - phase * b).max() <= tol)
 
 
 def with_aux_index_map() -> np.ndarray:
@@ -305,11 +306,14 @@ def hadamard_layer(scheme: str, include_coin: bool = True) -> list:
 
 @functools.lru_cache(maxsize=4)
 def _hadamard_steps(scheme: str, include_coin: bool) -> tuple:
-    """``hadamard_layer``'s steps, built once per layer and process."""
+    """``hadamard_layer``'s steps, built once per layer and process; the layer with
+    the coin shares the position-Hadamard steps of the layer without."""
     size = scheme_topology(scheme).size
+    if include_coin:
+        coin = WalkStep(_uniform(COIN_HADAMARD, size), tag=TAG_COIN_HADAMARD)
+        return (coin, *_hadamard_steps(scheme, False))
     pos = _position_hadamard_with_aux() if scheme == WITH_AUX else _position_hadamard_no_aux()
-    coin = WalkStep(_uniform(COIN_HADAMARD, size), tag=TAG_COIN_HADAMARD)
-    return (coin, *pos) if include_coin else tuple(pos)
+    return tuple(pos)
 
 
 @dataclass(frozen=True)
@@ -376,7 +380,7 @@ def _dj_operator(f: BooleanFn, scheme: str) -> np.ndarray:
     """Operator of ``build_dj_program(f, scheme)``; only the oracle's is built per call."""
     oracle = program_operator(_dj_oracle(f, scheme), scheme_topology(scheme))
     _, prefix, suffix = _dj_layers(scheme)
-    return suffix @ oracle @ prefix
+    return suffix.dot(oracle).dot(prefix)
 
 
 def _dj_final_state(f: BooleanFn, scheme: str) -> WalkState:
@@ -387,8 +391,8 @@ def _dj_final_state(f: BooleanFn, scheme: str) -> WalkState:
     """
     entering, _, suffix = _dj_layers(scheme)
     queried = run_program(entering, _dj_oracle(f, scheme))
-    amps = suffix @ queried.amplitudes
-    if not abs(np.linalg.norm(amps) - queried.norm()) <= NORM_TOL:  # NaN fails
+    amps = suffix.dot(queried.amplitudes)
+    if not abs(_norm(amps) - queried.norm()) <= NORM_TOL:  # NaN fails
         raise WalkError("final H layer did not preserve the state norm")
     return WalkState(entering.topology, amps)
 
@@ -428,6 +432,10 @@ def run_bv(s: str, scheme: str) -> BVOutcome:
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme: {scheme!r}")
+    if len(s) > REFERENCE_MAX_N:  # before hidden_string_fn builds all 2^n entries
+        raise ValueError(
+            f"brute-force reference supports n <= {REFERENCE_MAX_N}, got n = {len(s)}"
+        )
     f = hidden_string_fn(s)
     if f.n == 2:
         dist = _readout(_dj_final_state(f, scheme), scheme)

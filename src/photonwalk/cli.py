@@ -190,11 +190,12 @@ def _suite_shift_structure(perturb):
 def _suite_norm_preservation(perturb):
     rng = np.random.default_rng(7)
     cases, raw = [], []
+    shifts = [None, wc.s_plus(0), wc.s_minus(1)]
     for _ in range(50):  # each case draws its state, four coins, shift and phase
         draw = rng.normal(size=48)  # sequential: state 8 + 8, then 4 coins of 4 + 4
         amps = draw[:8] + 1j * draw[8:16]
         raw.append(draw[16:])
-        shift = [None, wc.s_plus(0), wc.s_minus(1)][int(rng.integers(3))]
+        shift = shifts[int(rng.integers(3))]
         cases.append((amps / np.linalg.norm(amps), shift, rng.uniform(0, np.pi)))
     parts = np.reshape(raw, (200, 2, 4))  # per coin: 4 real parts, then 4 imaginary
     coins, _ = np.linalg.qr((parts[:, 0] + 1j * parts[:, 1]).reshape(200, 2, 2))
@@ -223,13 +224,13 @@ def _suite_hadamard_involution(perturb):
 def _suite_oracle_equiv(perturb):
     for name, f in alg.two_bit_catalogue():
         walk_op = alg.walk_to_circuit_operator(
-            alg.oracle_operator(alg.build_oracle_with_aux(f))
+            wc.program_operator(alg._dj_oracle(f, alg.WITH_AUX), alg.CYCLE4)
         )
         ref = alg.reference_circuit_oracle(f)
         assert alg.equal_up_to_global_phase(walk_op, ref, tol=wc.NORM_TOL), (
             f"with-aux oracle mismatch for {name}"
         )
-        diag_op = alg.oracle_operator(alg.build_oracle_no_aux(f))
+        diag_op = wc.program_operator(alg._dj_oracle(f, alg.NO_AUX), alg.LINE2)
         off = diag_op - np.diag(np.diag(diag_op))
         assert np.max(np.abs(off)) <= wc.MATCH_TOL, f"no-aux oracle not diagonal for {name}"
         want = np.array([(-1.0) ** f.value(x) for x in range(4)])

@@ -25,6 +25,7 @@ from .walk_core import (
     Topology,
     WalkState,
     _is_int,
+    _norm,
     program_operator,
 )
 
@@ -198,7 +199,7 @@ def circuit_operator(circuit: PhotonicCircuit) -> np.ndarray:
     """Induced unitary of the whole circuit: the product of its stage matrices."""
     m = np.eye(2 * circuit.n_modes, dtype=complex)
     for stage in circuit.stages:
-        m = _stage_operator(circuit.n_modes, stage) @ m
+        m = _stage_operator(circuit.n_modes, stage).dot(m)
     return m
 
 
@@ -213,8 +214,8 @@ def simulate_photonic(circuit: PhotonicCircuit, state: WalkState) -> WalkState:
     amps = state.amplitudes
     norm = state.norm()
     for stage in circuit.stages:
-        amps = _stage_operator(circuit.n_modes, stage) @ amps
-        if not abs(np.linalg.norm(amps) - norm) <= NORM_TOL:  # NaN fails
+        amps = _stage_operator(circuit.n_modes, stage).dot(amps)
+        if not abs(_norm(amps) - norm) <= NORM_TOL:  # NaN fails
             raise ValueError("stage did not preserve the state norm")
     return WalkState(state.topology, amps)
 
@@ -254,18 +255,21 @@ def _lower_step(step) -> tuple:
     return tuple(comp for comp in comps if comp is not None)
 
 
-def _position_hadamard_stages(n_modes: int) -> list:
+@functools.lru_cache(maxsize=2)
+def _position_hadamard_stages(n_modes: int) -> tuple:
+    """Stages of the position-Hadamard butterfly, one tuple per mode count and
+    process, so ``_stage_operator`` finds its stages by identity."""
     # Beam splitters realize H on the path qubits; on four modes a butterfly
     # of two BS stages with interleaved relabelings gives H on both working
     # qubits of the Gray-labeled cycle.
     if n_modes == 2:
-        return [[BeamSplitter(0, 1)]]
-    return [
-        [BeamSplitter(0, 1), BeamSplitter(3, 2)],
-        [ModePermuter((0, 2, 3, 1))],
-        [BeamSplitter(0, 1), BeamSplitter(2, 3)],
-        [ModePermuter((0, 3, 1, 2))],
-    ]
+        return ((BeamSplitter(0, 1),),)
+    return (
+        (BeamSplitter(0, 1), BeamSplitter(3, 2)),
+        (ModePermuter((0, 2, 3, 1)),),
+        (BeamSplitter(0, 1), BeamSplitter(2, 3)),
+        (ModePermuter((0, 3, 1, 2)),),
+    )
 
 
 @functools.lru_cache(maxsize=32)
@@ -277,7 +281,7 @@ def _block_matches(topology: Topology, block: tuple) -> bool:
     """
     n_modes = topology.size
     walk_op = program_operator(block, topology)
-    optics = PhotonicCircuit(n_modes, tuple(_position_hadamard_stages(n_modes)))
+    optics = PhotonicCircuit(n_modes, _position_hadamard_stages(n_modes))
     return alg.equal_up_to_global_phase(
         circuit_operator(optics), walk_op, tol=FIDELITY_TOL
     )

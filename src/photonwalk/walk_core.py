@@ -9,6 +9,7 @@ shares that convention.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -221,7 +222,13 @@ class WalkState:
         return cls(topology, amps)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return _norm(self.amplitudes)
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D complex vector, the same two dot products
+    without its dispatch."""
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
 def _unitary_deviation(m: np.ndarray) -> float:
@@ -235,7 +242,15 @@ def _unitary_deviation(m: np.ndarray) -> float:
             abs(abs(a) ** 2 + abs(c) ** 2 - 1),
             abs(abs(b) ** 2 + abs(d) ** 2 - 1),
         )
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+    return float(np.abs(m.conj().T.dot(m) - _identity(m.shape[0])).max())
+
+
+@functools.lru_cache(maxsize=16)
+def _identity(n: int) -> np.ndarray:
+    """Read-only ``np.eye(n)``."""
+    m = np.eye(n)
+    m.setflags(write=False)
+    return m
 
 
 def _check_unitary(m: np.ndarray) -> None:
@@ -273,7 +288,7 @@ def evolve(amps: np.ndarray, step: WalkStep) -> None:
         l, dev = step._nonunitary
         raise WalkError(f"coin at position {l} is not unitary (max deviation {dev:.3e})")
     for l, c in step.coin_map.items():
-        amps[:, l] = c @ amps[:, l]
+        amps[:, l] = c.dot(amps[:, l])
     if step.shift is not None:
         if size < 2:
             raise ValueError("shift requires at least two positions")
@@ -300,7 +315,7 @@ def program_operator(steps: Sequence[WalkStep], topology: Topology) -> np.ndarra
     """
     m = np.eye(topology.dim, dtype=complex)
     for step in steps:
-        m = _step_matrix(topology, step) @ m
+        m = _step_matrix(topology, step).dot(m)
         _check_unitary(m)
     return m
 
@@ -338,7 +353,7 @@ def run_program(state: WalkState, steps: Sequence[WalkStep]) -> WalkState:
                         "shift would move amplitude off the open line at "
                         f"position {edge[0]}"
                     )
-            new_norm = float(np.linalg.norm(amps))
+            new_norm = _norm(amps)
             if not abs(new_norm - norm) <= NORM_TOL:  # NaN fails
                 raise WalkError("step did not preserve the state norm")
             norm = new_norm

@@ -139,3 +139,17 @@ def test_the_reference_is_exact_on_the_promise(n):
             out = alg.run_bv(s, scheme)
             assert out.recovered == s and out.probability == probs[int(s, 2)]
             assert list(out.distribution.values()) == probs.tolist()
+
+
+@pytest.mark.parametrize("scheme", alg.SCHEMES)
+@pytest.mark.parametrize("n", [21, 30, 64])
+def test_run_bv_rejects_n_above_the_limit_before_building_a_table(monkeypatch, scheme, n):
+    real = alg.hidden_string_fn
+
+    def guarded(s):
+        assert len(s) <= alg.REFERENCE_MAX_N, f"hidden_string_fn built {len(s)} bits"
+        return real(s)
+
+    monkeypatch.setattr(alg, "hidden_string_fn", guarded)
+    with pytest.raises(ValueError, match="supports n <= 20"):
+        alg.run_bv("1" * n, scheme)
