@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -114,6 +115,8 @@ class BooleanFn:
         object.__setattr__(self, "table", table)
 
     def value(self, x: int) -> int:
+        if not 0 <= x < len(self.table):  # a negative x would index from the end
+            raise ValueError(f"x must be in [0, 2**{self.n}), got {x!r}")
         return self.table[x]
 
 
@@ -326,7 +329,7 @@ class DJOutcome:
         return FnClass.CONSTANT if self.p_all_zero > 0.5 else FnClass.BALANCED
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=2)  # one per scheme
 def _dj_prefix(scheme: str) -> tuple:
     """Steps before the oracle: state preparation and the first H layer."""
     prep = (WalkStep({0: COIN_X}, tag=TAG_PREP),) if scheme == WITH_AUX else ()
@@ -361,7 +364,7 @@ def dj_pipeline_states(f: BooleanFn, scheme: str) -> list:
     return snapshots
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=2)  # one per scheme
 def _dj_layers(scheme: str) -> tuple:
     """(state entering the oracle, prefix operator, suffix operator), read-only.
 
@@ -421,7 +424,33 @@ class BVOutcome:
     hidden: str
     recovered: str
     probability: float
-    distribution: dict
+    distribution: Mapping[str, float]
+
+
+class _BitLabelView(Mapping):
+    """Read-only label -> probability view of an x-ordered array: key i is
+    ``format(i, f"0{n}b")``, so it iterates like a dict built in x order."""
+
+    __slots__ = ("_probs", "_n")
+
+    def __init__(self, probs: np.ndarray, n: int) -> None:
+        probs.setflags(write=False)  # the view owns the array
+        self._probs, self._n = probs, n
+
+    def __getitem__(self, label: str) -> float:
+        # Exactly n "0"/"1" characters: int(label, 2) alone would take "0b1" or "1_0".
+        if not (isinstance(label, str) and len(label) == self._n and not label.strip("01")):
+            raise KeyError(label)
+        return float(self._probs[int(label, 2)])
+
+    def __iter__(self):
+        return map(f"{{:0{self._n}b}}".format, range(len(self._probs)))
+
+    def __len__(self) -> int:
+        return len(self._probs)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 def run_bv(s: str, scheme: str) -> BVOutcome:
@@ -442,12 +471,8 @@ def run_bv(s: str, scheme: str) -> BVOutcome:
         recovered = max(sorted(dist), key=dist.__getitem__)
     else:
         probs = _reference_probabilities(scheme, f)
-        # x order: every high half-label followed by every low one.
-        high = list(map("".join, itertools.product("01", repeat=f.n // 2)))
-        low = list(map("".join, itertools.product("01", repeat=f.n - f.n // 2)))
-        labels = [h + l for h in high for l in low]
-        dist = dict(zip(labels, probs.tolist()))
-        recovered = labels[int(np.argmax(probs))]
+        dist = _BitLabelView(probs, f.n)
+        recovered = format(int(probs.argmax()), f"0{f.n}b")  # the first maximum in x order
     return BVOutcome(scheme, s, recovered, dist[recovered], dist)
 
 
@@ -461,7 +486,7 @@ HADAMARD_CHUNK_QUBITS = 7
 HADAMARD_CALL_MADDS = 2**19
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=HADAMARD_CHUNK_QUBITS)  # chunks of 1..7 qubits
 def _sylvester(qubits: int) -> np.ndarray:
     """Read-only +-1 Sylvester-Hadamard matrix of order 2**qubits."""
     s = functools.reduce(np.kron, [[[1.0, 1.0], [1.0, -1.0]]] * qubits, np.ones((1, 1)))

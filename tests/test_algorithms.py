@@ -377,3 +377,10 @@ class TestBruteForceReference:
             rng.shuffle(table)
             f = alg.BooleanFn(3, tuple(table))
             assert alg.brute_force_p_all_zero(alg.NO_AUX, f) <= 1e-12
+
+
+@pytest.mark.parametrize("x", [-1, 8])
+def test_value_rejects_x_outside_the_table(x):
+    f = alg.hidden_string_fn("101")
+    with pytest.raises(ValueError, match=r"^x must be in \[0, 2\*\*3\), got " + str(x)):
+        f.value(x)

@@ -5,7 +5,9 @@ the amplitude of |0...0> after H, oracle, H is 2^-n sum_x (-1)^f(x), and
 Bernstein-Vazirani leaves all probability on the hidden string.
 """
 
+import itertools
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -153,3 +155,69 @@ def test_run_bv_rejects_n_above_the_limit_before_building_a_table(monkeypatch, s
     monkeypatch.setattr(alg, "hidden_string_fn", guarded)
     with pytest.raises(ValueError, match="supports n <= 20"):
         alg.run_bv("1" * n, scheme)
+
+
+def old_bv_outcome(s: str, scheme: str):
+    """``run_bv`` beyond two bits as it was: a label list and a dict in x order."""
+    n = len(s)
+    probs = alg._reference_probabilities(scheme, alg.hidden_string_fn(s))
+    high = list(map("".join, itertools.product("01", repeat=n // 2)))
+    low = list(map("".join, itertools.product("01", repeat=n - n // 2)))
+    labels = [h + l for h in high for l in low]
+    dist = dict(zip(labels, probs.tolist()))
+    recovered = labels[int(np.argmax(probs))]
+    return recovered, dist[recovered], dist
+
+
+@pytest.mark.parametrize("scheme", alg.SCHEMES)
+@pytest.mark.parametrize("n", [1, *range(3, 15)])
+def test_bv_view_matches_the_old_dict(n, scheme):
+    rng = random.Random(400 + n)
+    for s in ("0" * n, "".join(rng.choice("01") for _ in range(n))):
+        recovered, probability, old = old_bv_outcome(s, scheme)
+        out = alg.run_bv(s, scheme)
+        assert (out.recovered, out.probability) == (recovered, probability)
+        assert list(out.distribution.items()) == list(old.items())  # keys, order, values
+        assert len(out.distribution) == len(old) and out.distribution == old
+        if n == 3:
+            assert dict(out.distribution) == old
+            assert repr(out) == repr(alg.BVOutcome(scheme, s, recovered, probability, old))
+
+
+@pytest.mark.parametrize("scheme", alg.SCHEMES)
+@pytest.mark.parametrize(
+    "key", ["0b1", "1_0", " 01", "01 ", "+01", "1\u06610", "01", "0101", "", 5, b"101", None]
+)
+def test_bv_view_takes_only_n_bit_labels(key, scheme):
+    out = alg.run_bv("101", scheme)
+    view = out.distribution
+    with pytest.raises(KeyError):
+        view[key]
+    assert key not in view
+    assert view.get(key) is None and view.get(key, -1.0) == -1.0
+    assert "101" in view and view.get("101") == view["101"] == out.probability
+
+
+@pytest.mark.parametrize("scheme", alg.SCHEMES)
+def test_bv_view_owns_a_read_only_array(scheme):
+    f = alg.hidden_string_fn("1101")
+    probs = alg._reference_probabilities(scheme, f)
+    view = alg._BitLabelView(probs, f.n)
+    with pytest.raises(ValueError, match="read-only"):
+        probs[0] = 0.5
+    assert view["0000"] == 0.0
+
+
+@pytest.mark.parametrize("scheme", alg.SCHEMES)
+def test_a_bv_outcome_retains_its_probabilities_and_no_labels(scheme):
+    s = "10" * 8
+    alg.run_bv(s, scheme)  # fill the memos outside the trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = alg.run_bv(s, scheme)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.recovered == s
+    assert retained < 2**20  # the 2^16 float64 probabilities take 512 KiB

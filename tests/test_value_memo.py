@@ -149,3 +149,15 @@ def test_the_shift_suite_still_names_a_broken_shift(monkeypatch):
     monkeypatch.setattr(cli.wc, "build_shift", doubled)
     with pytest.raises(AssertionError, match="not a permutation"):
         cli._suite_shift_structure({})
+
+
+def test_every_lru_cache_in_the_library_is_bounded():
+    memos = {
+        f"{mod.__name__}.{name}": obj
+        for mod in (alg, ph, wc)
+        for name, obj in vars(mod).items()
+        if callable(getattr(obj, "cache_parameters", None))
+    }
+    assert len(memos) >= 13
+    unbounded = [name for name, memo in memos.items() if memo.cache_parameters()["maxsize"] is None]
+    assert unbounded == []
