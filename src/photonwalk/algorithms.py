@@ -19,7 +19,7 @@ import functools
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .walk_core import (
     WalkStep,
     _norm,
     measure_joint,
-    measure_position,
+    measure_position,  # unused here; perfbench's fault injection patches it with measure_joint
     program_operator,
     run_program,
     s_minus,
@@ -51,11 +51,7 @@ LINE2 = Topology(OPEN_LINE, 2)
 
 
 def scheme_topology(scheme: str) -> Topology:
-    if scheme == WITH_AUX:
-        return CYCLE4
-    if scheme == NO_AUX:
-        return LINE2
-    raise ValueError(f"unknown scheme: {scheme!r}")
+    return _scheme(scheme).topology
 
 
 # Vertex -> working-qubit label around the 4-cycle (Gray code, so a single
@@ -133,23 +129,21 @@ def _fn_from_rule(rule: Callable[[int, int], int]) -> BooleanFn:
     return BooleanFn(2, tuple(rule(x1, x2) for x1 in (0, 1) for x2 in (0, 1)))
 
 
+_CATALOGUE = (
+    ("i", _fn_from_rule(lambda x1, x2: 0)),
+    ("ii", _fn_from_rule(lambda x1, x2: 1)),
+    ("iii", _fn_from_rule(lambda x1, x2: x1)),
+    ("iv", _fn_from_rule(lambda x1, x2: x2)),
+    ("v", _fn_from_rule(lambda x1, x2: 1 - x1)),
+    ("vi", _fn_from_rule(lambda x1, x2: 1 - x2)),
+    ("vii", _fn_from_rule(lambda x1, x2: x1 ^ x2)),
+    ("viii", _fn_from_rule(lambda x1, x2: 1 - (x1 ^ x2))),
+)
+
+
 def two_bit_catalogue() -> list:
     """The eight constant-or-balanced two-bit functions, in roman-numeral order."""
-    return list(_catalogue())
-
-
-@functools.lru_cache(maxsize=1)
-def _catalogue() -> tuple:
-    return (
-        ("i", _fn_from_rule(lambda x1, x2: 0)),
-        ("ii", _fn_from_rule(lambda x1, x2: 1)),
-        ("iii", _fn_from_rule(lambda x1, x2: x1)),
-        ("iv", _fn_from_rule(lambda x1, x2: x2)),
-        ("v", _fn_from_rule(lambda x1, x2: 1 - x1)),
-        ("vi", _fn_from_rule(lambda x1, x2: 1 - x2)),
-        ("vii", _fn_from_rule(lambda x1, x2: x1 ^ x2)),
-        ("viii", _fn_from_rule(lambda x1, x2: 1 - (x1 ^ x2))),
-    )
+    return list(_CATALOGUE)
 
 
 def hidden_string_fn(s: str) -> BooleanFn:
@@ -254,10 +248,6 @@ def walk_to_circuit_operator(m: np.ndarray) -> np.ndarray:
     return perm @ np.asarray(m, dtype=complex) @ perm.T
 
 
-def _uniform(coin: np.ndarray, size: int) -> dict:
-    return {l: coin for l in range(size)}
-
-
 def _cx_coin_to_cycle_bit(first_shift, second_shift) -> list:
     # Flip one Gray-label bit of the cycle position iff the coin is |1>:
     # a coin-conditioned shift conjugated by coin flips at even vertices
@@ -272,7 +262,7 @@ def _cx_coin_to_cycle_bit(first_shift, second_shift) -> list:
 
 def _h_on_cycle_bit(cx_coin_to_bit: list, cx_bit_to_coin: WalkStep) -> list:
     swap = cx_coin_to_bit + [cx_bit_to_coin] + cx_coin_to_bit
-    h_coin = WalkStep(_uniform(COIN_HADAMARD, 4), tag=TAG_POSITION_HADAMARD)
+    h_coin = WalkStep(dict.fromkeys(range(4), COIN_HADAMARD), tag=TAG_POSITION_HADAMARD)
     return swap + [h_coin] + swap
 
 
@@ -298,25 +288,57 @@ def _position_hadamard_no_aux() -> list:
     # single edge, i.e. acts as CNOT(coin -> path).
     cx_c_to_p = WalkStep(shift=s_plus(1), tag=TAG_POSITION_HADAMARD)
     cx_p_to_c = WalkStep({1: COIN_X}, tag=TAG_POSITION_HADAMARD)
-    h_coin = WalkStep(_uniform(COIN_HADAMARD, 2), tag=TAG_POSITION_HADAMARD)
+    h_coin = WalkStep(dict.fromkeys(range(2), COIN_HADAMARD), tag=TAG_POSITION_HADAMARD)
     return [cx_c_to_p, cx_p_to_c, cx_c_to_p, h_coin, cx_c_to_p, cx_p_to_c, cx_c_to_p]
 
 
 def hadamard_layer(scheme: str, include_coin: bool = True) -> list:
     """Walk program applying H to the position qubits and, optionally, the coin."""
-    return list(_hadamard_steps(scheme, bool(include_coin)))
+    record = _scheme(scheme)
+    return [*((record.coin_hadamard,) if include_coin else ()), *record.position_hadamard]
 
 
-@functools.lru_cache(maxsize=4)
-def _hadamard_steps(scheme: str, include_coin: bool) -> tuple:
-    """``hadamard_layer``'s steps, built once per layer and process; the layer with
-    the coin shares the position-Hadamard steps of the layer without."""
-    size = scheme_topology(scheme).size
-    if include_coin:
-        coin = WalkStep(_uniform(COIN_HADAMARD, size), tag=TAG_COIN_HADAMARD)
-        return (coin, *_hadamard_steps(scheme, False))
-    pos = _position_hadamard_with_aux() if scheme == WITH_AUX else _position_hadamard_no_aux()
-    return tuple(pos)
+@dataclass(frozen=True, eq=False)
+class _Scheme:
+    """Every per-scheme decision of the DJ/BV pipeline; see ``_scheme``."""
+
+    topology: Topology
+    labels: tuple  # outcome label of each amplitude, coin-major
+    oracle: Callable[[BooleanFn], Oracle]
+    coin_hadamard: WalkStep
+    position_hadamard: tuple
+    prefix: tuple  # state preparation and the first H layer
+    suffix: tuple  # the final H layer
+    prefix_operator: np.ndarray  # read-only
+    suffix_operator: np.ndarray  # read-only
+    entering: WalkState  # the state entering the oracle: prefix_operator's column 0
+
+
+@functools.lru_cache(maxsize=2)  # one per scheme; an unknown name raises and is never cached
+def _scheme(name: str) -> _Scheme:
+    """The record of one scheme, built once per scheme and process.
+
+    With-aux prepares the coin, the auxiliary qubit, in |1> and leaves it out of
+    the final H layer; no-aux reads the coin as the first input bit.
+    """
+    if name == WITH_AUX:
+        topology, labels, oracle = CYCLE4, CYCLE_LABELS * 2, build_oracle_with_aux
+        position = tuple(_position_hadamard_with_aux())
+        prep, reads_coin = (WalkStep({0: COIN_X}, tag=TAG_PREP),), False
+    elif name == NO_AUX:
+        topology, labels, oracle = LINE2, ("00", "01", "10", "11"), build_oracle_no_aux
+        position = tuple(_position_hadamard_no_aux())
+        prep, reads_coin = (), True
+    else:
+        raise ValueError(f"unknown scheme: {name!r}")
+    coin = WalkStep(dict.fromkeys(range(topology.size), COIN_HADAMARD), tag=TAG_COIN_HADAMARD)
+    prefix = (*prep, coin, *position)
+    suffix = (coin, *position) if reads_coin else position
+    operators = [program_operator(steps, topology) for steps in (prefix, suffix)]
+    for m in operators:
+        m.setflags(write=False)
+    entering = WalkState(topology, operators[0][:, 0])
+    return _Scheme(topology, labels, oracle, coin, position, prefix, suffix, *operators, entering)
 
 
 @dataclass(frozen=True)
@@ -329,29 +351,16 @@ class DJOutcome:
         return FnClass.CONSTANT if self.p_all_zero > 0.5 else FnClass.BALANCED
 
 
-@functools.lru_cache(maxsize=2)  # one per scheme
-def _dj_prefix(scheme: str) -> tuple:
-    """Steps before the oracle: state preparation and the first H layer."""
-    prep = (WalkStep({0: COIN_X}, tag=TAG_PREP),) if scheme == WITH_AUX else ()
-    return (*prep, *_hadamard_steps(scheme, True))
-
-
 @functools.lru_cache(maxsize=2 * 16)  # at most 16 two-bit tables per scheme
 def _dj_oracle(f: BooleanFn, scheme: str) -> tuple:
     """The oracle step, the only part of a run that depends on f; one per (f, scheme)."""
-    scheme_topology(scheme)  # an unknown scheme raises, and is never cached
-    build = build_oracle_with_aux if scheme == WITH_AUX else build_oracle_no_aux
-    return build(f).steps
-
-
-def _dj_suffix(scheme: str) -> tuple:
-    """Steps after the oracle: the final H layer (with-aux leaves the coin alone)."""
-    return _hadamard_steps(scheme, scheme == NO_AUX)
+    return _scheme(scheme).oracle(f).steps
 
 
 def build_dj_program(f: BooleanFn, scheme: str) -> list:
     """Full walk program for one Deutsch-Jozsa run, as a new list of shared steps."""
-    return [*_dj_prefix(scheme), *_dj_oracle(f, scheme), *_dj_suffix(scheme)]
+    record = _scheme(scheme)
+    return [*record.prefix, *_dj_oracle(f, scheme), *record.suffix]
 
 
 def dj_pipeline_states(f: BooleanFn, scheme: str) -> list:
@@ -364,49 +373,30 @@ def dj_pipeline_states(f: BooleanFn, scheme: str) -> list:
     return snapshots
 
 
-@functools.lru_cache(maxsize=2)  # one per scheme
-def _dj_layers(scheme: str) -> tuple:
-    """(state entering the oracle, prefix operator, suffix operator), read-only.
-
-    Built once per scheme.  The entering state is the prefix operator's
-    column 0, the image of basis (0, 0).
-    """
-    topo = scheme_topology(scheme)
-    prefix = program_operator(_dj_prefix(scheme), topo)
-    suffix = program_operator(_dj_suffix(scheme), topo)
-    prefix.setflags(write=False)
-    suffix.setflags(write=False)
-    return WalkState(topo, prefix[:, 0]), prefix, suffix
-
-
 def _dj_operator(f: BooleanFn, scheme: str) -> np.ndarray:
     """Operator of ``build_dj_program(f, scheme)``; only the oracle's is built per call."""
-    oracle = program_operator(_dj_oracle(f, scheme), scheme_topology(scheme))
-    _, prefix, suffix = _dj_layers(scheme)
-    return suffix.dot(oracle).dot(prefix)
+    record = _scheme(scheme)
+    oracle = program_operator(_dj_oracle(f, scheme), record.topology)
+    return record.suffix_operator.dot(oracle).dot(record.prefix_operator)
 
 
 def _dj_final_state(f: BooleanFn, scheme: str) -> WalkState:
-    """Final state of ``build_dj_program(f, scheme)`` run from basis (0, 0).
-
-    Only the oracle step is evolved per call; the layers around it come from
-    ``_dj_layers``.
-    """
-    entering, _, suffix = _dj_layers(scheme)
-    queried = run_program(entering, _dj_oracle(f, scheme))
-    amps = suffix.dot(queried.amplitudes)
+    """Final state of ``build_dj_program(f, scheme)`` run from basis (0, 0); only the
+    oracle step is evolved per call, between the scheme record's operators."""
+    record = _scheme(scheme)
+    queried = run_program(record.entering, _dj_oracle(f, scheme))
+    amps = record.suffix_operator.dot(queried.amplitudes)
     if not abs(_norm(amps) - queried.norm()) <= NORM_TOL:  # NaN fails
         raise WalkError("final H layer did not preserve the state norm")
-    return WalkState(entering.topology, amps)
+    return WalkState(record.topology, amps)
 
 
 def _readout(final: WalkState, scheme: str) -> dict:
-    """Outcome label -> probability of the working qubits of a final DJ/BV state."""
-    if scheme == WITH_AUX:
-        labels, probs = CYCLE_LABELS, measure_position(final)
-    else:
-        labels, probs = ("00", "01", "10", "11"), measure_joint(final).ravel()
-    return {label: float(p) for label, p in zip(labels, probs)}
+    """Outcome label -> probability of a final DJ/BV state; equal labels add, coin 0 first."""
+    dist: dict = {}
+    for label, p in zip(_scheme(scheme).labels, measure_joint(final).ravel().tolist()):
+        dist[label] = dist.get(label, 0.0) + p
+    return dist
 
 
 def run_dj(f: BooleanFn, scheme: str) -> DJOutcome:

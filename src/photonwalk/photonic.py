@@ -255,21 +255,19 @@ def _lower_step(step) -> tuple:
     return tuple(comp for comp in comps if comp is not None)
 
 
-@functools.lru_cache(maxsize=2)
-def _position_hadamard_stages(n_modes: int) -> tuple:
-    """Stages of the position-Hadamard butterfly, one tuple per mode count and
-    process, so ``_stage_operator`` finds its stages by identity."""
-    # Beam splitters realize H on the path qubits; on four modes a butterfly
-    # of two BS stages with interleaved relabelings gives H on both working
-    # qubits of the Gray-labeled cycle.
-    if n_modes == 2:
-        return ((BeamSplitter(0, 1),),)
-    return (
+# Stages of the position-Hadamard butterfly per mode count, one tuple each, so
+# ``_stage_operator`` finds its stages by identity.  Beam splitters realize H on
+# the path qubits; on four modes a butterfly of two BS stages with interleaved
+# relabelings gives H on both working qubits of the Gray-labeled cycle.
+_POSITION_HADAMARD_STAGES = {
+    2: ((BeamSplitter(0, 1),),),
+    4: (
         (BeamSplitter(0, 1), BeamSplitter(3, 2)),
         (ModePermuter((0, 2, 3, 1)),),
         (BeamSplitter(0, 1), BeamSplitter(2, 3)),
         (ModePermuter((0, 3, 1, 2)),),
-    )
+    ),
+}
 
 
 @functools.lru_cache(maxsize=32)
@@ -281,7 +279,7 @@ def _block_matches(topology: Topology, block: tuple) -> bool:
     """
     n_modes = topology.size
     walk_op = program_operator(block, topology)
-    optics = PhotonicCircuit(n_modes, _position_hadamard_stages(n_modes))
+    optics = PhotonicCircuit(n_modes, _POSITION_HADAMARD_STAGES[n_modes])
     return alg.equal_up_to_global_phase(
         circuit_operator(optics), walk_op, tol=FIDELITY_TOL
     )
@@ -329,7 +327,7 @@ def compile(program: Sequence, scheme: str, algorithm: str = "dj") -> PhotonicCi
                 raise CompileError(
                     "position-Hadamard block does not match its walk segment"
                 )
-            stages.extend(_position_hadamard_stages(n_modes))
+            stages.extend(_POSITION_HADAMARD_STAGES[n_modes])
             i = j
             continue
         stage = _lower_step(step)

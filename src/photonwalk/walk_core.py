@@ -58,7 +58,7 @@ def build_coin(params: CoinParams) -> np.ndarray:
 
 def build_coins(angles) -> np.ndarray:
     """(N, 2, 2) coins for (N, 4) rows of (p, q, r, theta), unitarity-checked in one
-    pass; the first failing row's deviation is raised, NaN for a non-finite angle."""
+    pass; the first failing row is named with its deviation, NaN for a non-finite angle."""
     g, eq, er, et = np.exp(1j * np.asarray(angles, dtype=float).reshape(-1, 4).T)
     cos, sin = et.real, et.imag
     entries = np.stack([eq * cos, er * sin, -er.conj() * sin, eq.conj() * cos], axis=1)
@@ -66,7 +66,8 @@ def build_coins(angles) -> np.ndarray:
     devs = np.max(np.abs(coins.conj().transpose(0, 2, 1) @ coins - np.eye(2)), axis=(1, 2))
     bad = np.flatnonzero(~(devs <= MATCH_TOL))  # NaN fails
     if bad.size:
-        raise WalkError(f"operator is not unitary (max deviation {devs[bad[0]]:.3e})")
+        row = bad[0]
+        raise WalkError(f"coin {row}: operator is not unitary (max deviation {devs[row]:.3e})")
     return coins
 
 
@@ -80,8 +81,8 @@ class Topology:
     def __post_init__(self) -> None:
         if self.kind not in (OPEN_LINE, CLOSED_CYCLE):
             raise ValueError(f"unknown topology kind: {self.kind!r}")
-        if self.size < 1:
-            raise ValueError("topology size must be positive")
+        if not (_is_int(self.size) and self.size >= 1):  # 2.0 would give a float dim
+            raise ValueError(f"topology size must be a positive int, got {self.size!r}")
 
     @property
     def dim(self) -> int:

@@ -213,6 +213,16 @@ class TestVerify:
         }
         assert err == f"first failure: photonic-fidelity: {message}\n"
 
+    @pytest.mark.parametrize(
+        "suite", [(), ("--suite", "photonic-fidelity"), ("--suite", "coin-unitarity")],
+        ids=["all", "fidelity", "coin"],
+    )
+    def test_empty_perturbation_exit_1(self, capsys, suite):
+        code, out, err = run(capsys, "verify", *suite, "--perturb", "")
+        assert code == 1
+        assert out == ""
+        assert err == "error: perturb: expected key=value, got ''\n"
+
     def test_unknown_perturb_key_exit_1(self, capsys):
         code, out, err = run(capsys, "verify", "--perturb", "bs=0.5")
         assert code == 1

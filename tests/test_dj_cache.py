@@ -1,4 +1,4 @@
-"""The per-scheme cache of the f-independent DJ/BV layers, and repeated CLI calls in one process."""
+"""The per-scheme record of the f-independent DJ/BV layers, and repeated CLI calls in one process."""
 
 import json
 
@@ -30,9 +30,8 @@ def test_cached_path_equals_full_program(name, f, scheme):
 @pytest.mark.parametrize("scheme", alg.SCHEMES)
 def test_program_is_prefix_oracle_suffix(scheme):
     f = dict(alg.two_bit_catalogue())["vii"]
-    prefix, oracle, suffix = (
-        alg._dj_prefix(scheme), alg._dj_oracle(f, scheme), alg._dj_suffix(scheme)
-    )
+    record = alg._scheme(scheme)
+    prefix, oracle, suffix = record.prefix, alg._dj_oracle(f, scheme), record.suffix
     program = alg.build_dj_program(f, scheme)
     assert len(program) == len(prefix) + len(oracle) + len(suffix)
     assert [s.tag for s in program] == [s.tag for s in prefix + oracle + suffix]
@@ -65,8 +64,7 @@ def test_program_lengths_and_tags_unchanged(scheme):
 
 @pytest.mark.parametrize("scheme", alg.SCHEMES)
 def test_fixed_steps_are_built_once_and_programs_are_new_lists(scheme):
-    assert alg._dj_prefix(scheme) is alg._dj_prefix(scheme)
-    assert alg._dj_suffix(scheme) is alg._dj_suffix(scheme)
+    assert alg._scheme(scheme) is alg._scheme(scheme)
     f = dict(alg.two_bit_catalogue())["vii"]
     first = alg.build_dj_program(f, scheme)
     want = list(first)
@@ -74,27 +72,30 @@ def test_fixed_steps_are_built_once_and_programs_are_new_lists(scheme):
     first.append(None)
     second = alg.build_dj_program(f, scheme)
     assert second is not first and second == want
-    assert second[0] is alg._dj_prefix(scheme)[0]
+    assert second[0] is alg._scheme(scheme).prefix[0]
 
 
 @pytest.mark.parametrize("scheme", alg.SCHEMES)
 def test_cached_values_are_read_only(scheme):
-    entering, _, suffix = alg._dj_layers(scheme)
+    record = alg._scheme(scheme)
     with pytest.raises(ValueError):
-        entering.amplitudes[0] = 0.0
-    with pytest.raises(ValueError):
-        suffix[0, 0] = 0.0
-    assert alg._dj_layers(scheme) is alg._dj_layers(scheme)
+        record.entering.amplitudes[0] = 0.0
+    for operator in (record.prefix_operator, record.suffix_operator):
+        with pytest.raises(ValueError):
+            operator[0, 0] = 0.0
+    with pytest.raises(AttributeError):
+        record.entering = None
+    assert alg._scheme(scheme) is record
 
 
 @pytest.mark.parametrize("scheme", alg.SCHEMES)
 def test_entering_state_equals_the_prefix_run_bitwise(scheme):
-    entering, prefix, _ = alg._dj_layers(scheme)
+    record = alg._scheme(scheme)
     topo = alg.scheme_topology(scheme)
-    want = wc.run_program(wc.WalkState.basis(topo, 0, 0), alg._dj_prefix(scheme))
-    assert entering.topology == topo
-    assert np.array_equal(entering.amplitudes, want.amplitudes)
-    assert np.array_equal(prefix[:, 0], want.amplitudes)
+    want = wc.run_program(wc.WalkState.basis(topo, 0, 0), record.prefix)
+    assert record.entering.topology == topo
+    assert np.array_equal(record.entering.amplitudes, want.amplitudes)
+    assert np.array_equal(record.prefix_operator[:, 0], want.amplitudes)
 
 
 @pytest.mark.parametrize(
@@ -107,13 +108,26 @@ def test_readout_keeps_its_key_order(scheme, labels):
 
 def test_unknown_scheme_raises_and_leaves_cache_usable():
     f = dict(alg.two_bit_catalogue())["ii"]
+    size = alg._scheme.cache_info().currsize
     for _ in range(2):
-        with pytest.raises(ValueError, match="unknown scheme"):
-            alg._dj_layers("sideways")
+        with pytest.raises(ValueError, match="unknown scheme: 'sideways'"):
+            alg._scheme("sideways")
         with pytest.raises(ValueError, match="unknown scheme"):
             alg.run_dj(f, "sideways")
+    assert alg._scheme.cache_info().currsize == size
     for scheme in alg.SCHEMES:
         assert abs(alg.run_dj(f, scheme).p_all_zero - 1.0) <= 1e-12
+
+
+def test_the_reference_path_of_run_bv_builds_no_scheme_record(monkeypatch):
+    def fail(name):
+        raise AssertionError("scheme record built")
+
+    monkeypatch.setattr(alg, "_scheme", fail)
+    for scheme in alg.SCHEMES:
+        assert alg.run_bv("101", scheme).recovered == "101"
+    with pytest.raises(ValueError, match="unknown scheme: 'sideways'"):
+        alg.run_bv("101", "sideways")
 
 
 def run(capsys, *argv):

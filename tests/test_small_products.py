@@ -2,6 +2,8 @@
 values of the ``@`` / ``np.linalg.norm`` code they stand for, and the blocks that
 do not depend on f are shared by identity through bounded, read-only memos."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -117,9 +119,9 @@ def test_program_operator_of_each_hadamard_layer_equals_the_old_fold(scheme, inc
 @pytest.mark.parametrize("name,f,scheme", CASES, ids=CASE_IDS)
 def test_dj_operator_and_final_state_equal_the_old_fold(name, f, scheme):
     topo = alg.scheme_topology(scheme)
-    prefix = old_program_operator(alg._dj_prefix(scheme), topo)
+    prefix = old_program_operator(alg._scheme(scheme).prefix, topo)
     oracle = old_program_operator(alg._dj_oracle(f, scheme), topo)
-    suffix = old_program_operator(alg._dj_suffix(scheme), topo)
+    suffix = old_program_operator(alg._scheme(scheme).suffix, topo)
     assert np.array_equal(alg._dj_operator(f, scheme), suffix @ oracle @ prefix)
 
     queried = old_run_program(prefix[:, 0], alg._dj_oracle(f, scheme), topo)
@@ -189,9 +191,7 @@ def test_identity_memo_is_bounded_read_only_and_shared():
 
 @pytest.mark.parametrize("n_modes", [2, 4])
 def test_butterfly_stages_are_one_shared_tuple(n_modes):
-    assert ph._position_hadamard_stages.cache_info().maxsize is not None
-    stages = ph._position_hadamard_stages(n_modes)
-    assert stages is ph._position_hadamard_stages(n_modes)
+    stages = ph._POSITION_HADAMARD_STAGES[n_modes]
     assert isinstance(stages, tuple) and all(isinstance(stage, tuple) for stage in stages)
     scheme = alg.WITH_AUX if n_modes == 4 else alg.NO_AUX
     circuit = ph.compile(alg.build_dj_program(dict(alg.two_bit_catalogue())["vii"], scheme), scheme)
@@ -202,14 +202,17 @@ def test_butterfly_stages_are_one_shared_tuple(n_modes):
 
 @pytest.mark.parametrize("scheme", alg.SCHEMES)
 def test_both_hadamard_layers_share_one_position_block(scheme):
-    with_coin = alg._hadamard_steps(scheme, True)
-    without = alg._hadamard_steps(scheme, False)
-    assert with_coin is alg._hadamard_steps(scheme, True)
-    assert without is alg._hadamard_steps(scheme, False)
-    assert isinstance(with_coin, tuple) and isinstance(without, tuple)
-    assert with_coin[0].tag == alg.TAG_COIN_HADAMARD
+    record = alg._scheme(scheme)
+    with_coin = alg.hadamard_layer(scheme, True)
+    without = alg.hadamard_layer(scheme, False)
+    assert isinstance(record.position_hadamard, tuple)
+    assert with_coin[0] is record.coin_hadamard and with_coin[0].tag == alg.TAG_COIN_HADAMARD
     assert len(with_coin) == len(without) + 1
     assert all(a is b for a, b in zip(with_coin[1:], without))
+    assert all(a is b for a, b in zip(without, record.position_hadamard))
+    # The DJ prefix and suffix end in the layer steps themselves.
+    for steps in (record.prefix, record.suffix):
+        assert all(a is b for a, b in zip(steps[::-1], with_coin[::-1]))
 
 
 def test_a_warm_compile_compares_no_step_or_component_by_value(monkeypatch):
@@ -244,6 +247,10 @@ def test_oracle_equiv_builds_no_oracle_step_when_warm(monkeypatch):
     def fail(f):
         raise AssertionError("oracle rebuilt")
 
-    monkeypatch.setattr(alg, "build_oracle_with_aux", fail)
-    monkeypatch.setattr(alg, "build_oracle_no_aux", fail)
+    # The builders are read from the scheme records, so each record is swapped.
+    records = {s: dataclasses.replace(alg._scheme(s), oracle=fail) for s in alg.SCHEMES}
+    monkeypatch.setattr(alg, "_scheme", records.__getitem__)
     assert cli.run_suites(["oracle-equiv"]) == [("oracle-equiv", True, "")]
+    alg._dj_oracle.cache_clear()
+    ((name, ok, message),) = cli.run_suites(["oracle-equiv"])
+    assert not ok and message == "oracle rebuilt"

@@ -198,6 +198,20 @@ def test_basis_accepts_numpy_ints():
     assert np.array_equal(state.amplitudes, np.eye(8)[7])
 
 
+@pytest.mark.parametrize("size", [2.0, True, np.float64(4.0), "2", None, 0, -1])
+@pytest.mark.parametrize("kind", [wc.OPEN_LINE, wc.CLOSED_CYCLE])
+def test_topology_rejects_a_size_that_is_not_a_positive_int(kind, size):
+    message = re.escape(f"topology size must be a positive int, got {size!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        wc.Topology(kind, size)
+
+
+def test_topology_accepts_a_numpy_int_size():
+    topo = wc.Topology(wc.OPEN_LINE, np.int64(2))
+    assert topo == alg.LINE2 and topo.dim == 4
+    assert np.array_equal(WalkState.basis(topo, 1, 1).amplitudes, np.eye(4)[3])
+
+
 def test_scheme_topology_rejects_an_unknown_scheme():
     with pytest.raises(ValueError, match=re.escape("unknown scheme: 'bogus'")):
         alg.scheme_topology("bogus")

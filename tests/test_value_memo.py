@@ -1,7 +1,7 @@
-"""Values derived from a step or a two-bit function are built once per process:
-the oracle steps, the Hadamard layers, the catalogue, the coin lowerings and the
-shift gather index.  Each memo is bounded, hands out nothing a caller can change,
-and keeps no failure."""
+"""Values derived from a step, a scheme or a two-bit function are built once per
+process: the oracle steps, the scheme records (Hadamard layers included), the coin
+lowerings and the shift gather index.  Each memo is bounded, hands out nothing a
+caller can change, and keeps no failure."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,7 @@ from photonwalk import walk_core as wc
 
 MEMOS = {
     "_dj_oracle": alg._dj_oracle,
-    "_hadamard_steps": alg._hadamard_steps,
-    "_catalogue": alg._catalogue,
+    "_scheme": alg._scheme,
     "_lower_step": ph._lower_step,
     "_roll_index": wc._roll_index,
 }
@@ -34,7 +33,7 @@ def test_an_equal_rebuilt_function_gets_the_identical_oracle_step(name, scheme):
     assert rebuilt is not f and rebuilt == f
     steps = alg._dj_oracle(f, scheme)
     assert alg._dj_oracle(rebuilt, scheme) is steps
-    assert alg.build_dj_program(rebuilt, scheme)[len(alg._dj_prefix(scheme))] is steps[0]
+    assert alg.build_dj_program(rebuilt, scheme)[len(alg._scheme(scheme).prefix)] is steps[0]
 
 
 def test_an_unknown_scheme_raises_before_any_oracle_is_built():
@@ -158,6 +157,6 @@ def test_every_lru_cache_in_the_library_is_bounded():
         for name, obj in vars(mod).items()
         if callable(getattr(obj, "cache_parameters", None))
     }
-    assert len(memos) >= 13
+    assert len(memos) == 9
     unbounded = [name for name, memo in memos.items() if memo.cache_parameters()["maxsize"] is None]
     assert unbounded == []

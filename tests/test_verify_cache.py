@@ -1,6 +1,8 @@
 """The verify gate's per-process caches: compile's position-Hadamard check, the
 fixed DJ operators of the photonic-fidelity suite, and the batched coin suite."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,8 @@ def test_composed_operator_equals_full_program(name, f, scheme):
 
 @pytest.mark.parametrize("scheme", alg.SCHEMES)
 def test_prefix_operator_is_cached_and_read_only(scheme):
-    prefix = alg._dj_layers(scheme)[1]
-    assert prefix is alg._dj_layers(scheme)[1]
+    prefix = alg._scheme(scheme).prefix_operator
+    assert prefix is alg._scheme(scheme).prefix_operator
     with pytest.raises(ValueError):
         prefix[0, 0] = 0.0
 
@@ -160,12 +162,23 @@ def test_coin_suite_names_the_first_failing_coin(monkeypatch):
 
     def skewed(angles):
         coins = build_coins(angles)
-        coins[[6, 8]] *= 1 + 1e-9  # the 7th and 9th coins
+        coins[[6, 8]] *= 1 + 1e-9  # the 7th and 9th coins, past the unitarity check
         return coins
 
     monkeypatch.setattr(cli.wc, "build_coins", skewed)
-    with pytest.raises(AssertionError, match=r"coin 6: unitarity deviation .*tolerance 1e-12"):
+    message = r"coin 6: determinant deviation from e\^\{2ip\} 2\.000e-09 \(tolerance 1e-12\)"
+    with pytest.raises(AssertionError, match=f"^{message}$"):
         cli._suite_coin_unitarity({})
+
+
+@pytest.mark.parametrize("row", [0, 3, 999])
+def test_coin_rows_name_the_first_row_that_is_not_unitary(row):
+    angles = np.random.default_rng(20240917).uniform(-2 * np.pi, 2 * np.pi, size=(1000, 4))
+    angles[row, 3] = angles[-1, 1] = np.nan  # the last row fails too, but later
+    message = re.escape(f"coin {row}: operator is not unitary (max deviation nan)")
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(wc.WalkError, match=f"^{message}$"):
+            wc.build_coins(angles)
 
 
 @pytest.mark.parametrize(
