@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from typing import Callable
 
@@ -110,6 +110,20 @@ class BooleanFn:
             raise ValueError(f"truth table must have {want} entries, got {len(table)}")
         object.__setattr__(self, "table", table)
 
+    @functools.cached_property  # per instance, never keyed by table content
+    def _mask(self) -> np.ndarray:
+        """Read-only bool array of the table: True at each x with f(x) = 1."""
+        return np.frombuffer(bytes(self.table), dtype=bool)
+
+    @classmethod
+    def _from_bits(cls, n: int, bits: np.ndarray) -> BooleanFn:
+        """Trusted path for 2**n uint8 zeros and ones that numpy built: the entries
+        are not checked again, and ``bits`` becomes the read-only mask."""
+        bits.setflags(write=False)
+        f = object.__new__(cls)
+        f.__dict__.update(n=n, table=tuple(bits.tolist()), _mask=bits.view(bool))
+        return f
+
     def value(self, x: int) -> int:
         if not 0 <= x < len(self.table):  # a negative x would index from the end
             raise ValueError(f"x must be in [0, 2**{self.n}), got {x!r}")
@@ -150,11 +164,11 @@ def hidden_string_fn(s: str) -> BooleanFn:
     """The dot-product function f(x) = x . s for a hidden bit string."""
     if not s or any(ch not in "01" for ch in s):
         raise ValueError(f"hidden string must be nonempty bits, got {s!r}")
-    # Parity of x & s, one bit of s per doubling: x1 is the most significant.
-    table = np.zeros(1, dtype=np.uint8)
-    for ch in s:
-        table = (table[:, None] ^ np.array([0, int(ch)], dtype=np.uint8)).ravel()
-    return BooleanFn(len(s), tuple(table.tolist()))
+    # Parity of x & s by folding its 32 bits in half five times; x1 is the most significant.
+    x = np.arange(2 ** len(s), dtype=np.uint32) & int(s, 2)
+    for shift in (16, 8, 4, 2, 1):
+        x ^= x >> shift
+    return BooleanFn._from_bits(len(s), (x & 1).astype(np.uint8))
 
 
 # Hidden string -> catalogue name of the matching dot-product function.
@@ -440,7 +454,24 @@ class _BitLabelView(Mapping):
         return len(self._probs)
 
     def __repr__(self) -> str:
-        return repr(dict(self))
+        return repr(dict(self.items()))
+
+    # Both read the array once; the mixins would format and parse every label.
+    def values(self) -> ValuesView:
+        return _BitLabelValues(self)
+
+    def items(self) -> ItemsView:
+        return _BitLabelItems(self)
+
+
+class _BitLabelValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._probs.tolist())
+
+
+class _BitLabelItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._probs.tolist())
 
 
 def run_bv(s: str, scheme: str) -> BVOutcome:
@@ -466,7 +497,7 @@ def run_bv(s: str, scheme: str) -> BVOutcome:
     return BVOutcome(scheme, s, recovered, dist[recovered], dist)
 
 
-# The dense reference holds 2^(n+1) complex amplitudes: 32 MB at the limit.
+# The dense reference returns 2^(n+1) complex amplitudes: 32 MB at the limit.
 REFERENCE_MAX_N = 20
 
 
@@ -508,34 +539,29 @@ def brute_force_reference(scheme: str, f: BooleanFn) -> np.ndarray:
     """Textbook dense-state execution, independent of all walk machinery.
 
     Returns the final state vector in the computational basis: |x1..xn>|aux>
-    for the with-aux scheme, |x1..xn> otherwise.  The Hadamard layers are
-    unnormalised: amplitudes are exact integers until the one final scaling.
+    for the with-aux scheme, |x1..xn> otherwise.  The first Hadamard layer is
+    the closed-form uniform superposition and the last one is unnormalised, so
+    the real amplitudes are exact integers until the one final scaling.
     """
     n = f.n
     if n > REFERENCE_MAX_N:
         raise ValueError(
             f"brute-force reference supports n <= {REFERENCE_MAX_N}, got n = {n}"
         )
-    mask = np.array(f.table, dtype=bool)  # x with f(x) = 1
     if scheme == NO_AUX:
-        vec = np.zeros(2**n, dtype=complex)
-        vec[0] = 1.0
-        _hadamard_all(vec, n)
-        vec *= np.where(mask, -1.0, 1.0)
-        _hadamard_all(vec, n)
-        vec *= 2.0**-n
-        return vec
-    if scheme == WITH_AUX:
-        vec = np.zeros(2 ** (n + 1), dtype=complex)
-        vec[1] = 1.0  # |0...0>|1>
-        _hadamard_all(vec, n + 1)
+        vec = np.where(f._mask, -1.0, 1.0)  # H^n|0...0>, then the phase oracle
+        scale = 2.0**-n
+    elif scheme == WITH_AUX:
+        vec = np.tile([1.0, -1.0], 2**n)  # H^(n+1)|0...0>|1>
         # |x>|y> -> |x>|y xor f(x)>: swap the aux pair of every x with f(x) = 1.
-        pairs = vec.reshape(-1, 2)
+        pairs, mask = vec.reshape(-1, 2), f._mask
         pairs[mask] = pairs[mask, ::-1]
-        _hadamard_all(vec, n)
-        vec *= 2 ** (-(2 * n + 1) / 2)
-        return vec
-    raise ValueError(f"unknown scheme: {scheme!r}")
+        scale = 2 ** (-(2 * n + 1) / 2)
+    else:
+        raise ValueError(f"unknown scheme: {scheme!r}")
+    _hadamard_all(vec, n)
+    vec *= scale
+    return vec.astype(complex)
 
 
 def _reference_probabilities(scheme: str, f: BooleanFn) -> np.ndarray:
