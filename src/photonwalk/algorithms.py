@@ -448,7 +448,7 @@ class _BitLabelView(Mapping):
         return float(self._probs[int(label, 2)])
 
     def __iter__(self):
-        return map(f"{{:0{self._n}b}}".format, range(len(self._probs)))
+        return map("".join, itertools.product("01", repeat=self._n))
 
     def __len__(self) -> int:
         return len(self._probs)
@@ -567,7 +567,7 @@ def brute_force_reference(scheme: str, f: BooleanFn) -> np.ndarray:
 def _reference_probabilities(scheme: str, f: BooleanFn) -> np.ndarray:
     """P(x) for each input x in the reference's final state, the aux summed out."""
     probs = np.abs(brute_force_reference(scheme, f)) ** 2
-    return probs.reshape(2**f.n, -1).sum(axis=1)
+    return probs if probs.size == 2**f.n else probs[0::2] + probs[1::2]
 
 
 def brute_force_p_all_zero(scheme: str, f: BooleanFn) -> float:

@@ -335,9 +335,7 @@ def _parse_perturb(spec: Optional[str]) -> dict:
 
 
 # A suite that raises one of these fails with "<Type>: <message>"; others propagate.
-SUITE_ERRORS = (
-    wc.WalkError, ph.CompileError, ph.ModeCollision, alg.PromiseViolation, ValueError
-)
+SUITE_ERRORS = (wc.WalkError, ph.CompileError, alg.PromiseViolation, ValueError)
 
 
 def run_suites(names: Optional[Sequence[str]] = None, perturb: Optional[dict] = None):

@@ -38,8 +38,8 @@ class UnsupportedCoin(CompileError):
     """A coin operator outside the supported lowering alphabet."""
 
 
-class ModeCollision(Exception):
-    """A two-mode component was given identical modes."""
+class ModeCollision(ValueError):
+    """A stage uses a mode twice; a mode permuter uses every mode."""
 
 
 @dataclass(frozen=True)
@@ -101,17 +101,17 @@ def bs_matrix() -> np.ndarray:
     return np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
-def _component_modes(comp: Component) -> set:
+def _component_modes(comp: Component) -> tuple:
     if isinstance(comp, (HWP, PhaseShifter)):
-        return {comp.mode}
+        return (comp.mode,)
     if isinstance(comp, (BeamSplitter, PBS)):
-        return {comp.mode_a, comp.mode_b}
-    return set(comp.permutation)
+        return (comp.mode_a, comp.mode_b)
+    return comp.permutation
 
 
 @dataclass(frozen=True)
 class PhotonicCircuit:
-    """Staged optical circuit; components within a stage act on disjoint modes.
+    """Staged optical circuit: within a stage each mode is used at most once.
 
     ``readout`` is descriptive measurement metadata (detectors / PBS usage);
     measurement optics are not part of ``stages`` and are never counted.
@@ -124,7 +124,7 @@ class PhotonicCircuit:
     def __post_init__(self) -> None:
         stages = tuple(tuple(stage) for stage in self.stages)
         for stage in stages:
-            seen: set = set()
+            used: list = []
             for comp in stage:
                 modes = _component_modes(comp)
                 # Equal stages share one memoised matrix, so a mode that equals
@@ -141,9 +141,9 @@ class PhotonicCircuit:
                         f"mode permuter {comp.permutation} is not a permutation "
                         f"of {self.n_modes} modes"
                     )
-                if not isinstance(comp, ModePermuter) and seen & modes:
-                    raise ValueError("stage components must act on disjoint modes")
-                seen |= modes
+                used += modes
+            if len(set(used)) < len(used):
+                raise ModeCollision("stage components must act on disjoint modes")
         object.__setattr__(self, "stages", stages)
 
 
@@ -386,15 +386,9 @@ def report_to_csv(rows: Sequence[dict]) -> str:
 
 
 def _component_to_json(comp: Component) -> dict:
-    d = {"kind": comp.kind}
-    if isinstance(comp, HWP):
-        d.update(angle=comp.angle, mode=comp.mode)
-    elif isinstance(comp, PhaseShifter):
-        d.update(phase=comp.phase, mode=comp.mode)
-    elif isinstance(comp, (BeamSplitter, PBS)):
-        d.update(mode_a=comp.mode_a, mode_b=comp.mode_b)
-    else:
-        d.update(permutation=list(comp.permutation))
+    d = {"kind": comp.kind, **asdict(comp)}  # ``kind`` first, then the fields in order
+    if isinstance(comp, ModePermuter):
+        d["permutation"] = list(comp.permutation)
     return d
 
 

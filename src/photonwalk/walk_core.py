@@ -38,24 +38,6 @@ class DimensionMismatch(WalkError):
     """Operands act on spaces of different dimension."""
 
 
-@dataclass(frozen=True)
-class CoinParams:
-    """The four real angles (radians) parametrizing a 2x2 unitary coin."""
-
-    p: float
-    q: float
-    r: float
-    theta: float
-
-
-def build_coin(params: CoinParams) -> np.ndarray:
-    """Build the 2x2 coin unitary for the given angle tuple.
-
-    Returns e^{ip} [[e^{iq} cos t, e^{ir} sin t], [-e^{-ir} sin t, e^{-iq} cos t]].
-    """
-    return build_coins([(params.p, params.q, params.r, params.theta)])[0]
-
-
 def build_coins(angles) -> np.ndarray:
     """(N, 2, 2) coins for (N, 4) rows of (p, q, r, theta), unitarity-checked in one
     pass; the first failing row is named with its deviation, NaN for a non-finite angle."""

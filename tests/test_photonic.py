@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonwalk import algorithms as alg
 from photonwalk import photonic as ph
@@ -83,8 +85,9 @@ class TestPBS:
         assert np.max(np.abs(m.conj().T @ m - np.eye(4))) <= 1e-12
 
     def test_mode_collision(self):
-        with pytest.raises(ph.ModeCollision):
-            ph.pbs(1, 1)
+        for mode in (0, 1):
+            with pytest.raises(ph.ModeCollision):
+                ph.pbs(mode, mode)
 
 
 class TestCompile:
@@ -111,7 +114,7 @@ class TestCompile:
         assert comps == [ph.HWP(0.0, 0), ph.HWP(np.pi / 2, 1)]
 
     def test_unsupported_coin(self):
-        weird = wc.WalkStep({0: wc.build_coin(wc.CoinParams(0.1, 0.2, 0.3, 0.4))})
+        weird = wc.WalkStep({0: wc.build_coins([(0.1, 0.2, 0.3, 0.4)])[0]})
         with pytest.raises(ph.UnsupportedCoin):
             ph.compile([weird], alg.NO_AUX)
 
@@ -203,6 +206,22 @@ class TestCounts:
             ph.PhotonicCircuit(2, ((ph.HWP(0.0, 0), ph.PhaseShifter(0.1, 0)),))
 
     @pytest.mark.parametrize(
+        "stage",
+        [
+            (ph.BeamSplitter(0, 0),),
+            (ph.PBS(1, 1),),
+            (ph.HWP(0.3, 0), ph.ModePermuter((1, 0))),
+            (ph.ModePermuter((1, 0)), ph.HWP(0.3, 0)),
+            (ph.ModePermuter((1, 0)), ph.ModePermuter((0, 1))),
+        ],
+        ids=["bs-one-mode", "pbs-one-mode", "hwp-then-permuter", "permuter-then-hwp",
+             "two-permuters"],
+    )
+    def test_a_stage_that_uses_a_mode_twice_is_a_mode_collision(self, stage):
+        with pytest.raises(ph.ModeCollision, match="disjoint modes"):
+            ph.PhotonicCircuit(2, (stage,))
+
+    @pytest.mark.parametrize(
         "perm", [(0, 0, 1, 2), (0, 1), (3, 2, 1)], ids=["repeat", "short", "short-reversed"]
     )
     def test_mode_permuter_must_permute_every_mode(self, perm):
@@ -264,3 +283,43 @@ class TestCircuitJSON:
             for comp in stage:
                 if comp["kind"] == "hwp":
                     assert isinstance(comp["angle"], float)
+
+
+def any_component(n_modes):
+    mode = st.integers(0, n_modes - 1)
+    angle = st.floats(-2 * np.pi, 2 * np.pi)
+    return st.one_of(
+        st.builds(ph.HWP, angle, mode),
+        st.builds(ph.PhaseShifter, angle, mode),
+        st.builds(ph.BeamSplitter, mode, mode),
+        st.builds(ph.PBS, mode, mode),
+        st.permutations(range(n_modes)).map(ph.ModePermuter),
+    )
+
+
+@st.composite
+def any_stages(draw):
+    n_modes = draw(st.integers(1, 5))
+    stage = st.lists(any_component(n_modes), min_size=1, max_size=4)
+    return n_modes, draw(st.lists(stage, min_size=1, max_size=4))
+
+
+def modes_used(comp, n_modes):
+    if isinstance(comp, ph.ModePermuter):
+        return list(range(n_modes))
+    if isinstance(comp, (ph.BeamSplitter, ph.PBS)):
+        return [comp.mode_a, comp.mode_b]
+    return [comp.mode]
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_stages())
+def test_a_circuit_is_rejected_exactly_when_a_stage_repeats_a_mode(case):
+    n_modes, stages = case
+    used = [[m for comp in stage for m in modes_used(comp, n_modes)] for stage in stages]
+    if any(len(set(modes)) < len(modes) for modes in used):
+        with pytest.raises(ph.ModeCollision):
+            ph.PhotonicCircuit(n_modes, stages)
+    else:
+        m = ph.circuit_operator(ph.PhotonicCircuit(n_modes, stages))
+        assert np.max(np.abs(m.conj().T @ m - np.eye(2 * n_modes))) <= wc.MATCH_TOL

@@ -113,7 +113,7 @@ def test_a_pattern_offset_past_the_tolerance_has_no_lowering(index):
 
 
 def test_a_coin_near_no_pattern_has_no_lowering():
-    coin = wc.build_coin(wc.CoinParams(0.1, 0.2, 0.3, 0.4))
+    coin = wc.build_coins([(0.1, 0.2, 0.3, 0.4)])[0]
     with pytest.raises(ph.UnsupportedCoin):
         loop_lowering(coin, 0)
     with pytest.raises(ph.UnsupportedCoin, match="no exact lowering"):

@@ -94,13 +94,6 @@ def test_a_nan_phase_fails_the_running_product_check_on_every_call():
 SUITE_ROWS = np.random.default_rng(20240917).uniform(-2 * np.pi, 2 * np.pi, size=(1000, 4))
 
 
-def test_build_coins_equals_build_coin_bitwise_on_the_suite_rows():
-    coins = wc.build_coins(SUITE_ROWS)
-    assert coins.dtype == complex and coins.shape == (1000, 2, 2)
-    for row, coin in zip(SUITE_ROWS.tolist(), coins):
-        assert wc.build_coin(wc.CoinParams(*row)).tobytes() == coin.tobytes()
-
-
 def test_build_coins_rejects_a_nan_row():
     rows = SUITE_ROWS[:5].copy()
     rows[3, 2] = np.nan

@@ -53,10 +53,10 @@ def numpy_coin(p, q, r, theta):
 
 
 def test_build_coin_matches_the_numpy_formula_on_the_suite_rows():
-    rng = np.random.default_rng(20240917)
-    for row in rng.uniform(-2 * np.pi, 2 * np.pi, size=(1000, 4)).tolist():
-        m = wc.build_coin(wc.CoinParams(*row))
-        assert m.dtype == complex and m.shape == (2, 2)
+    rows = np.random.default_rng(20240917).uniform(-2 * np.pi, 2 * np.pi, size=(1000, 4))
+    coins = wc.build_coins(rows)
+    assert coins.dtype == complex and coins.shape == (1000, 2, 2)
+    for row, m in zip(rows.tolist(), coins):
         assert np.max(np.abs(m - numpy_coin(*row))) <= 1e-15
 
 
@@ -67,7 +67,7 @@ def test_build_coin_rejects_a_non_finite_angle_as_not_unitary(angle, which):
     params[which] = angle
     with np.errstate(invalid="ignore"):
         with pytest.raises(wc.WalkError, match=r"not unitary \(max deviation nan\)"):
-            wc.build_coin(wc.CoinParams(*params))
+            wc.build_coins([params])
 
 
 def test_norm_suite_still_fails_on_a_drifting_step(monkeypatch):

@@ -17,7 +17,7 @@ MEMOS = {
     "_lower_step": ph._lower_step,
     "_roll_index": wc._roll_index,
 }
-TILTED = wc.build_coin(wc.CoinParams(0.1, 0.2, 0.3, 0.4))  # near no lowering pattern
+TILTED = wc.build_coins([(0.1, 0.2, 0.3, 0.4)])[0]  # near no lowering pattern
 
 
 @pytest.mark.parametrize("memo", MEMOS.values(), ids=list(MEMOS))

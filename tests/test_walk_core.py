@@ -3,11 +3,10 @@ import pytest
 
 from photonwalk import walk_core as wc
 from photonwalk.walk_core import (
-    CoinParams,
     Topology,
     WalkState,
     WalkStep,
-    build_coin,
+    build_coins,
     build_shift,
     s_minus,
     s_plus,
@@ -32,26 +31,26 @@ def coin_reference(p, q, r, t):
 
 class TestBuildCoin:
     def test_identity(self):
-        np.testing.assert_allclose(build_coin(CoinParams(0, 0, 0, 0)), np.eye(2))
+        np.testing.assert_allclose(build_coins([(0, 0, 0, 0)])[0], np.eye(2))
 
     def test_pauli_x_tuple(self):
-        m = build_coin(CoinParams(-np.pi / 2, 0, np.pi / 2, np.pi / 2))
+        m = build_coins([(-np.pi / 2, 0, np.pi / 2, np.pi / 2)])[0]
         np.testing.assert_allclose(m, X, atol=1e-12)
 
     def test_phase_flip_tuple(self):
-        m = build_coin(CoinParams(np.pi / 2, np.pi / 2, 0, np.pi))
+        m = build_coins([(np.pi / 2, np.pi / 2, 0, np.pi)])[0]
         np.testing.assert_allclose(m, np.diag([1.0, -1.0]), atol=1e-12)
 
     def test_hadamard_tuple_corrected(self):
         # The q = +pi/2 variant is the one that evaluates to H; confirmed by
         # the independent entrywise reference.
-        m = build_coin(CoinParams(-np.pi / 2, np.pi / 2, np.pi / 2, np.pi / 4))
+        m = build_coins([(-np.pi / 2, np.pi / 2, np.pi / 2, np.pi / 4)])[0]
         np.testing.assert_allclose(m, H, atol=1e-12)
         ref = coin_reference(-np.pi / 2, np.pi / 2, np.pi / 2, np.pi / 4)
         np.testing.assert_allclose(m, ref, atol=1e-12)
 
     def test_hadamard_tuple_with_negative_q_is_not_hadamard(self):
-        m = build_coin(CoinParams(-np.pi / 2, -np.pi / 2, np.pi / 2, np.pi / 4))
+        m = build_coins([(-np.pi / 2, -np.pi / 2, np.pi / 2, np.pi / 4)])[0]
         expected = np.array([[-1.0, 1.0], [1.0, 1.0]]) / np.sqrt(2)
         np.testing.assert_allclose(m, expected, atol=1e-12)
         ref = coin_reference(-np.pi / 2, -np.pi / 2, np.pi / 2, np.pi / 4)
@@ -60,17 +59,15 @@ class TestBuildCoin:
 
     def test_unitarity_random_sample(self):
         rng = np.random.default_rng(42)
-        for _ in range(1000):
-            p, q, r, t = rng.uniform(-2 * np.pi, 2 * np.pi, size=4)
-            m = build_coin(CoinParams(p, q, r, t))
+        rows = rng.uniform(-2 * np.pi, 2 * np.pi, size=(1000, 4))
+        for m in build_coins(rows):
             assert np.max(np.abs(m.conj().T @ m - np.eye(2))) <= 1e-12
 
     def test_determinant(self):
         rng = np.random.default_rng(1)
-        for _ in range(200):
-            p, q, r, t = rng.uniform(-np.pi, np.pi, size=4)
-            det = np.linalg.det(build_coin(CoinParams(p, q, r, t)))
-            assert abs(det - np.exp(2j * p)) <= 1e-12
+        rows = rng.uniform(-np.pi, np.pi, size=(200, 4))
+        for row, m in zip(rows, build_coins(rows)):
+            assert abs(np.linalg.det(m) - np.exp(2j * row[0])) <= 1e-12
 
 
 class TestBuildShift:
