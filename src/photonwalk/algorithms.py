@@ -95,15 +95,28 @@ class BooleanFn:
             raise ValueError(f"n must be an int, got {self.n!r}")
         if self.n < 1:
             raise ValueError("need at least one input bit")
-        # Check the raw entries before int(), so 0.5 or "1" is not coerced.
         try:
-            bits = set(self.table) <= {0, 1}
-        except TypeError:  # an unhashable entry
-            bits = False
-        if not bits:
-            raise ValueError("truth table entries must be 0 or 1")
-        ints = set(map(type, self.table)) == {int}
-        table = tuple(self.table) if ints else tuple(map(int, self.table))
+            table = tuple(self.table)  # the same object for a tuple; an iterator is read once
+        except TypeError:  # not iterable
+            raise ValueError("truth table entries must be 0 or 1") from None
+        if set(map(type, table)) == {int}:
+            # One bytes() both checks the entries and becomes the oracle mask.
+            try:
+                raw = bytes(table)  # ValueError for an int outside 0..255
+                if raw.translate(None, b"\x00\x01"):  # a byte other than 0 or 1
+                    raise ValueError
+            except ValueError:
+                raise ValueError("truth table entries must be 0 or 1") from None
+            self.__dict__["_mask"] = np.frombuffer(raw, dtype=bool)
+        else:
+            # Check the raw entries before int(), so 0.5 or "1" is not coerced.
+            try:
+                bits = set(table) <= {0, 1}
+            except TypeError:  # an unhashable entry
+                bits = False
+            if not bits:
+                raise ValueError("truth table entries must be 0 or 1")
+            table = tuple(map(int, table))
         # Compare bit lengths first, so a huge n never builds 2**n.
         if len(table).bit_length() != self.n + 1 or len(table) != 2**self.n:
             want = 2**self.n if self.n < 64 else f"2**{self.n}"
@@ -164,6 +177,8 @@ def hidden_string_fn(s: str) -> BooleanFn:
     """The dot-product function f(x) = x . s for a hidden bit string."""
     if not s or any(ch not in "01" for ch in s):
         raise ValueError(f"hidden string must be nonempty bits, got {s!r}")
+    if len(s) > 32:  # the width of the uint32 fold; 2^33 entries would be 32 GiB
+        raise ValueError(f"hidden string must have at most 32 bits, got {len(s)}")
     # Parity of x & s by folding its 32 bits in half five times; x1 is the most significant.
     x = np.arange(2 ** len(s), dtype=np.uint32) & int(s, 2)
     for shift in (16, 8, 4, 2, 1):
@@ -535,14 +550,13 @@ def _hadamard_all(vec: np.ndarray, qubits: int) -> None:
         done += c
 
 
-def brute_force_reference(scheme: str, f: BooleanFn) -> np.ndarray:
-    """Textbook dense-state execution, independent of all walk machinery.
+# The with-aux start, indexed by f(x): the unnormalised aux pair H|1> at |y xor f(x)>.
+_AUX_PAIRS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_AUX_PAIRS.setflags(write=False)
 
-    Returns the final state vector in the computational basis: |x1..xn>|aux>
-    for the with-aux scheme, |x1..xn> otherwise.  The first Hadamard layer is
-    the closed-form uniform superposition and the last one is unnormalised, so
-    the real amplitudes are exact integers until the one final scaling.
-    """
+
+def _reference_amplitudes(scheme: str, f: BooleanFn) -> np.ndarray:
+    """``brute_force_reference`` as a new float64 vector; every amplitude is real."""
     n = f.n
     if n > REFERENCE_MAX_N:
         raise ValueError(
@@ -552,21 +566,32 @@ def brute_force_reference(scheme: str, f: BooleanFn) -> np.ndarray:
         vec = np.where(f._mask, -1.0, 1.0)  # H^n|0...0>, then the phase oracle
         scale = 2.0**-n
     elif scheme == WITH_AUX:
-        vec = np.tile([1.0, -1.0], 2**n)  # H^(n+1)|0...0>|1>
-        # |x>|y> -> |x>|y xor f(x)>: swap the aux pair of every x with f(x) = 1.
-        pairs, mask = vec.reshape(-1, 2), f._mask
-        pairs[mask] = pairs[mask, ::-1]
+        # H^(n+1)|0...0>|1>, then |x>|y> -> |x>|y xor f(x)>: the aux pair of every
+        # x with f(x) = 1 swapped.
+        vec = _AUX_PAIRS.take(f._mask, axis=0).ravel()
         scale = 2 ** (-(2 * n + 1) / 2)
     else:
         raise ValueError(f"unknown scheme: {scheme!r}")
     _hadamard_all(vec, n)
     vec *= scale
-    return vec.astype(complex)
+    return vec
+
+
+def brute_force_reference(scheme: str, f: BooleanFn) -> np.ndarray:
+    """Textbook dense-state execution, independent of all walk machinery.
+
+    Returns the final state vector in the computational basis: |x1..xn>|aux>
+    for the with-aux scheme, |x1..xn> otherwise.  The first Hadamard layer is
+    the closed-form uniform superposition and the last one is unnormalised, so
+    the real amplitudes are exact integers until the one final scaling.
+    """
+    return _reference_amplitudes(scheme, f).astype(complex)
 
 
 def _reference_probabilities(scheme: str, f: BooleanFn) -> np.ndarray:
     """P(x) for each input x in the reference's final state, the aux summed out."""
-    probs = np.abs(brute_force_reference(scheme, f)) ** 2
+    probs = _reference_amplitudes(scheme, f)
+    probs *= probs  # every amplitude is real: the same bits as np.abs(complex) ** 2
     return probs if probs.size == 2**f.n else probs[0::2] + probs[1::2]
 
 

@@ -387,8 +387,12 @@ def report_to_csv(rows: Sequence[dict]) -> str:
 
 def _component_to_json(comp: Component) -> dict:
     d = {"kind": comp.kind, **asdict(comp)}  # ``kind`` first, then the fields in order
+    # A mode may be a numpy integer, which PhotonicCircuit accepts and json.dumps does not.
+    for key in ("mode", "mode_a", "mode_b"):
+        if key in d:
+            d[key] = int(d[key])
     if isinstance(comp, ModePermuter):
-        d["permutation"] = list(comp.permutation)
+        d["permutation"] = [int(m) for m in comp.permutation]
     return d
 
 

@@ -93,6 +93,58 @@ class TestBooleanFnEntries:
         f = alg.BooleanFn(2, [0, 1, 1, 0])
         assert f.table == (0, 1, 1, 0) and type(f.table) is tuple
 
+    @pytest.mark.parametrize(
+        "entry",
+        [0, 1, 2, 256, -1, True, np.int64(1), 1.0, "1", [1], float("nan")],
+        ids=["0", "1", "2", "256", "-1", "True", "int64", "float", "str", "list", "nan"],
+    )
+    @pytest.mark.parametrize("alone", [False, True], ids=["mixed", "alone"])
+    def test_every_entry_kind_is_checked_as_by_the_set_check(self, entry, alone):
+        table = (entry,) * 4 if alone else (entry, 0, 1, 1)
+        want = set_check(table)
+        if want is None:
+            with pytest.raises(ValueError) as info:
+                alg.BooleanFn(2, table)
+            assert str(info.value) == "truth table entries must be 0 or 1"
+            return
+        f = alg.BooleanFn(2, table)
+        assert f.table == want and list(map(type, f.table)) == list(map(type, want))
+        assert (f.table is table) == (want is table)
+        assert f == alg.BooleanFn(2, want) and hash(f) == hash(alg.BooleanFn(2, want))
+        assert repr(f) == f"BooleanFn(n=2, table={want!r})"
+        eager = set(map(type, table)) == {int}  # only int tables build the mask at once
+        assert ("_mask" in vars(f)) == eager
+        mask = f._mask
+        assert mask.dtype == bool and not mask.flags.writeable
+        assert mask.tolist() == np.frombuffer(bytes(f.table), bool).tolist()
+
+    @pytest.mark.parametrize("table", [5, None], ids=["int", "none"])
+    def test_rejects_a_table_that_is_not_iterable(self, table):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            alg.BooleanFn(2, table)
+
+    @pytest.mark.parametrize("table", [(0, 1, 1, 0), (2, 0, 1, 1), (0.5, 0, 1, 1), (0, 1)])
+    def test_an_iterator_is_read_once(self, table):
+        try:
+            want = alg.BooleanFn(2, table)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                alg.BooleanFn(2, iter(table))
+        else:
+            assert alg.BooleanFn(2, iter(table)) == want
+
+
+def set_check(table):
+    """BooleanFn's entry check before int tables were checked by bytes(): the
+    stored table, or None for a table it rejects."""
+    try:
+        bits = set(table) <= {0, 1}
+    except TypeError:
+        bits = False
+    if not bits:
+        return None
+    return tuple(table) if set(map(type, table)) == {int} else tuple(map(int, table))
+
 
 class TestCatalogue:
     def test_tables(self):
@@ -128,6 +180,19 @@ class TestHiddenString:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             alg.hidden_string_fn("1x")
+
+    @pytest.mark.parametrize("length", [33, 64])
+    def test_rejects_more_than_32_bits_before_building_a_table(self, monkeypatch, length):
+        real = np.arange
+
+        def guarded(*args, **kwargs):
+            assert args[0] <= 2**32, f"np.arange asked for {args[0]} entries"
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", guarded)
+        with pytest.raises(ValueError) as info:
+            alg.hidden_string_fn("1" * length)
+        assert str(info.value) == f"hidden string must have at most 32 bits, got {length}"
 
 
 class TestWithAuxOracle:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -283,6 +285,18 @@ class TestCircuitJSON:
             for comp in stage:
                 if comp["kind"] == "hwp":
                     assert isinstance(comp["angle"], float)
+
+    def test_numpy_int_modes_are_written_as_ints(self):
+        def circuit(i):
+            return ph.PhotonicCircuit(3, [
+                (ph.HWP(0.3, i(1)), ph.BeamSplitter(i(0), i(2))),
+                (ph.ModePermuter((i(2), i(0), i(1))),),
+                (ph.PhaseShifter(0.1, i(2)), ph.PBS(i(0), i(1))),
+            ])
+
+        want = json.dumps(ph.circuit_to_json(circuit(int)))
+        for i in (np.int64, np.int32, np.uint8):
+            assert json.dumps(ph.circuit_to_json(circuit(i))) == want, i
 
 
 def any_component(n_modes):
