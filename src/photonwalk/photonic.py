@@ -385,15 +385,17 @@ def report_to_csv(rows: Sequence[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_value(value):
+    """A component field as json.dumps takes it: a numpy scalar (PhotonicCircuit
+    accepts numpy-int modes) as its Python value, a permutation as a list."""
+    if isinstance(value, tuple):  # a permutation
+        return [_json_value(v) for v in value]
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _component_to_json(comp: Component) -> dict:
-    d = {"kind": comp.kind, **asdict(comp)}  # ``kind`` first, then the fields in order
-    # A mode may be a numpy integer, which PhotonicCircuit accepts and json.dumps does not.
-    for key in ("mode", "mode_a", "mode_b"):
-        if key in d:
-            d[key] = int(d[key])
-    if isinstance(comp, ModePermuter):
-        d["permutation"] = [int(m) for m in comp.permutation]
-    return d
+    # ``kind`` first, then the fields in order
+    return {"kind": comp.kind, **{k: _json_value(v) for k, v in asdict(comp).items()}}
 
 
 def circuit_to_json(circuit: PhotonicCircuit) -> dict:
