@@ -175,7 +175,7 @@ def two_bit_catalogue() -> list:
 
 def hidden_string_fn(s: str) -> BooleanFn:
     """The dot-product function f(x) = x . s for a hidden bit string."""
-    if not s or any(ch not in "01" for ch in s):
+    if not isinstance(s, str) or not s or any(ch not in "01" for ch in s):
         raise ValueError(f"hidden string must be nonempty bits, got {s!r}")
     if len(s) > 32:  # the width of the uint32 fold; 2^33 entries would be 32 GiB
         raise ValueError(f"hidden string must have at most 32 bits, got {len(s)}")
@@ -190,13 +190,7 @@ def hidden_string_fn(s: str) -> BooleanFn:
 BV_STRINGS = (("00", "i"), ("01", "iv"), ("10", "iii"), ("11", "vii"))
 
 
-@dataclass(frozen=True)
-class Oracle:
-    scheme: str
-    steps: tuple
-
-
-def build_oracle_with_aux(f: BooleanFn) -> Oracle:
+def build_oracle_with_aux(f: BooleanFn) -> tuple:
     """Oracle as a single position-dependent coin step on the 4-cycle.
 
     Applies a coin X (flipping the auxiliary qubit) at every vertex whose
@@ -209,10 +203,10 @@ def build_oracle_with_aux(f: BooleanFn) -> Oracle:
         for v, lab in enumerate(CYCLE_LABELS)
         if f.value(int(lab, 2)) == 1
     }
-    return Oracle(WITH_AUX, (WalkStep(coin_map, tag=TAG_ORACLE),))
+    return (WalkStep(coin_map, tag=TAG_ORACLE),)
 
 
-def build_oracle_no_aux(f: BooleanFn) -> Oracle:
+def build_oracle_no_aux(f: BooleanFn) -> tuple:
     """Phase oracle as a single diagonal coin step on the 2-vertex line.
 
     At position x2 the coin picks up diag((-1)^f(0,x2), (-1)^f(1,x2)); the
@@ -226,7 +220,7 @@ def build_oracle_no_aux(f: BooleanFn) -> Oracle:
             [(-1.0) ** f.value(0 * 2 + x2), (-1.0) ** f.value(1 * 2 + x2)]
         )
         coin_map[x2] = d
-    return Oracle(NO_AUX, (WalkStep(coin_map, tag=TAG_ORACLE),))
+    return (WalkStep(coin_map, tag=TAG_ORACLE),)
 
 
 def reference_circuit_oracle(f: BooleanFn) -> np.ndarray:
@@ -262,19 +256,13 @@ def with_aux_index_map() -> np.ndarray:
     Walk index is coin-major (c, vertex); circuit basis is |x1 x2>|aux> with
     aux = coin and |x1 x2> the vertex label.
     """
-    p = np.zeros(8, dtype=int)
-    for c in (0, 1):
-        for v in range(4):
-            p[c * 4 + v] = int(CYCLE_LABELS[v], 2) * 2 + c
-    return p
+    return np.array([int(lab, 2) * 2 + c for c in (0, 1) for lab in CYCLE_LABELS])
 
 
 def walk_to_circuit_operator(m: np.ndarray) -> np.ndarray:
     """Conjugate a with-aux walk-space operator into the circuit basis."""
-    p = with_aux_index_map()
-    perm = np.zeros((8, 8))
-    perm[p, np.arange(8)] = 1.0
-    return perm @ np.asarray(m, dtype=complex) @ perm.T
+    q = np.argsort(with_aux_index_map())  # walk_index = q[circuit_index]
+    return np.asarray(m, dtype=complex)[np.ix_(q, q)]
 
 
 def _cx_coin_to_cycle_bit(first_shift, second_shift) -> list:
@@ -333,7 +321,7 @@ class _Scheme:
 
     topology: Topology
     labels: tuple  # outcome label of each amplitude, coin-major
-    oracle: Callable[[BooleanFn], Oracle]
+    oracle: Callable[[BooleanFn], tuple]
     coin_hadamard: WalkStep
     position_hadamard: tuple
     prefix: tuple  # state preparation and the first H layer
@@ -383,7 +371,7 @@ class DJOutcome:
 @functools.lru_cache(maxsize=2 * 16)  # at most 16 two-bit tables per scheme
 def _dj_oracle(f: BooleanFn, scheme: str) -> tuple:
     """The oracle step, the only part of a run that depends on f; one per (f, scheme)."""
-    return _scheme(scheme).oracle(f).steps
+    return _scheme(scheme).oracle(f)
 
 
 def build_dj_program(f: BooleanFn, scheme: str) -> list:
@@ -497,7 +485,8 @@ def run_bv(s: str, scheme: str) -> BVOutcome:
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme: {scheme!r}")
-    if len(s) > REFERENCE_MAX_N:  # before hidden_string_fn builds all 2^n entries
+    # Before hidden_string_fn builds all 2^n entries; it rejects a non-str itself.
+    if isinstance(s, str) and len(s) > REFERENCE_MAX_N:
         raise ValueError(
             f"brute-force reference supports n <= {REFERENCE_MAX_N}, got n = {len(s)}"
         )
@@ -595,8 +584,3 @@ def _reference_probabilities(scheme: str, f: BooleanFn) -> np.ndarray:
 
 def brute_force_p_all_zero(scheme: str, f: BooleanFn) -> float:
     return float(_reference_probabilities(scheme, f)[0])
-
-
-def oracle_operator(oracle: Oracle) -> np.ndarray:
-    """Induced full-space operator of an oracle's walk steps."""
-    return program_operator(oracle.steps, scheme_topology(oracle.scheme))

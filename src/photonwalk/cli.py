@@ -200,7 +200,7 @@ def _suite_norm_preservation(perturb):
     for i, (amps, shift, phase) in enumerate(cases):
         state = wc.WalkState(alg.CYCLE4, amps)
         coin_map = dict(enumerate(coins[4 * i : 4 * i + 4]))
-        out = wc.apply_step(state, wc.WalkStep(coin_map, shift, phase))
+        out = wc.run_program(state, [wc.WalkStep(coin_map, shift, phase)])
         assert abs(out.norm() - 1.0) <= wc.NORM_TOL, "norm drifted"
         pos = wc.measure_position(out)
         joint = wc.measure_joint(out)

@@ -122,6 +122,9 @@ class PhotonicCircuit:
     readout: Optional[dict] = None
 
     def __post_init__(self) -> None:
+        if not (_is_int(self.n_modes) and self.n_modes >= 1):  # the rule of Topology.size
+            raise ValueError(f"mode count must be a positive int, got {self.n_modes!r}")
+        object.__setattr__(self, "n_modes", int(self.n_modes))  # np.int64 -> int, for JSON
         stages = tuple(tuple(stage) for stage in self.stages)
         for stage in stages:
             used: list = []
@@ -176,11 +179,6 @@ def _operator(n_modes: int, components) -> np.ndarray:
     for comp in components:
         _apply_component(columns, comp)
     return m
-
-
-def component_matrix(comp: Component, n_modes: int) -> np.ndarray:
-    """Full-space matrix of one component on polarization x modes."""
-    return _operator(n_modes, [comp])
 
 
 @functools.lru_cache(maxsize=128)
@@ -312,6 +310,8 @@ def compile(program: Sequence, scheme: str, algorithm: str = "dj") -> PhotonicCi
     block is checked once per distinct content and process (``_block_matches``),
     and every other step is lowered once per distinct step (``_lower_step``).
     """
+    if algorithm not in ("dj", "bv"):
+        raise ValueError(f"unknown algorithm: {algorithm!r}")
     topo = alg.scheme_topology(scheme)
     n_modes = topo.size
     stages: list = []

@@ -116,9 +116,9 @@ def build_shift(shift: Shift, topology: Topology) -> np.ndarray:
     """Full-space shift operator (a 2*size x 2*size permutation).
 
     On an open line the operator includes the wrap edge, so it equals
-    ``apply_step`` on every state that ``apply_step`` accepts.
+    ``run_program`` on every state that ``run_program`` accepts.
     """
-    return step_operator(WalkStep(shift=shift), topology)
+    return program_operator([WalkStep(shift=shift)], topology)
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,16 +301,6 @@ def program_operator(steps: Sequence[WalkStep], topology: Topology) -> np.ndarra
         m = _step_matrix(topology, step).dot(m)
         _check_unitary(m)
     return m
-
-
-def step_operator(step: WalkStep, topology: Topology) -> np.ndarray:
-    """Induced full-space operator of a step: shift . coin-layer . e^{i phase}."""
-    return program_operator([step], topology)
-
-
-def apply_step(state: WalkState, step: WalkStep) -> WalkState:
-    """Apply one step to a state, raising BoundaryViolation on off-line moves."""
-    return run_program(state, [step])
 
 
 def run_program(state: WalkState, steps: Sequence[WalkStep]) -> WalkState:

@@ -52,12 +52,16 @@ def test_criterion_3_oracle_equivalence():
     with _Timer() as t:
         for name, f in alg.two_bit_catalogue():
             walk_op = alg.walk_to_circuit_operator(
-                alg.oracle_operator(alg.build_oracle_with_aux(f))
+                wc.program_operator(
+                    alg.build_oracle_with_aux(f), alg.scheme_topology(alg.WITH_AUX)
+                )
             )
             assert alg.equal_up_to_global_phase(
                 walk_op, alg.reference_circuit_oracle(f), tol=1e-10
             ), name
-            diag_op = alg.oracle_operator(alg.build_oracle_no_aux(f))
+            diag_op = wc.program_operator(
+                alg.build_oracle_no_aux(f), alg.scheme_topology(alg.NO_AUX)
+            )
             assert np.max(np.abs(diag_op - np.diag(np.diag(diag_op)))) <= 1e-12
             want = np.array([(-1.0) ** f.value(x) for x in range(4)])
             assert alg.equal_up_to_global_phase(np.diag(diag_op), want, tol=1e-10)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -192,23 +194,38 @@ class TestHiddenString:
             alg.hidden_string_fn("1" * length)
         assert str(info.value) == f"hidden string must have at most 32 bits, got {length}"
 
+    @pytest.mark.parametrize("s", [1, 0, None, b"11", ["1", "0"], ("1",) * 40])
+    @pytest.mark.parametrize(
+        "run",
+        [alg.hidden_string_fn, lambda s: alg.run_bv(s, alg.WITH_AUX)],
+        ids=["hidden_string_fn", "run_bv"],
+    )
+    def test_rejects_a_non_str_before_building_a_table(self, monkeypatch, s, run):
+        def no_table(*args, **kwargs):
+            raise AssertionError("np.arange was called")
+
+        monkeypatch.setattr(np, "arange", no_table)
+        with pytest.raises(ValueError) as info:
+            run(s)
+        assert str(info.value) == f"hidden string must be nonempty bits, got {s!r}"
+
 
 class TestWithAuxOracle:
     def test_all_ones(self):
         oracle = alg.build_oracle_with_aux(alg.BooleanFn(2, (1, 1, 1, 1)))
-        (step,) = oracle.steps
+        (step,) = oracle
         assert set(step.coin_map) == {0, 1, 2, 3}
         for coin in step.coin_map.values():
             np.testing.assert_array_equal(coin, alg.COIN_X)
 
     def test_all_zeros(self):
         oracle = alg.build_oracle_with_aux(alg.BooleanFn(2, (0, 0, 0, 0)))
-        (step,) = oracle.steps
+        (step,) = oracle
         assert step.coin_map == {}
 
     def test_xor_flips_at_01_and_10(self):
         oracle = alg.build_oracle_with_aux(alg.BooleanFn(2, TABLE_1["vii"]))
-        (step,) = oracle.steps
+        (step,) = oracle
         flipped = {alg.CYCLE_LABELS[v] for v in step.coin_map}
         assert flipped == {"01", "10"}
 
@@ -220,9 +237,43 @@ class TestWithAuxOracle:
     def test_equals_reference_oracle(self, name):
         f = alg.BooleanFn(2, TABLE_1[name])
         walk_op = alg.walk_to_circuit_operator(
-            alg.oracle_operator(alg.build_oracle_with_aux(f))
+            wc.program_operator(alg.build_oracle_with_aux(f), alg.scheme_topology(alg.WITH_AUX))
         )
         assert alg.equal_up_to_global_phase(walk_op, alg.reference_circuit_oracle(f))
+
+
+def loop_index_map():
+    """``with_aux_index_map`` as the original loop wrote it."""
+    p = np.zeros(8, dtype=int)
+    for c in (0, 1):
+        for v in range(4):
+            p[c * 4 + v] = int(alg.CYCLE_LABELS[v], 2) * 2 + c
+    return p
+
+
+def product_walk_to_circuit(m):
+    """``walk_to_circuit_operator`` as the original permutation-matrix products."""
+    perm = np.zeros((8, 8))
+    perm[loop_index_map(), np.arange(8)] = 1.0
+    return perm @ np.asarray(m, dtype=complex) @ perm.T
+
+
+class TestWithAuxPermutation:
+    def test_index_map_equals_the_loop(self):
+        p, want = alg.with_aux_index_map(), loop_index_map()
+        assert p.dtype == want.dtype and np.array_equal(p, want)
+
+    @pytest.mark.parametrize("table", list(itertools.product((0, 1), repeat=4)))
+    def test_gather_equals_the_products_on_every_oracle(self, table):
+        m = wc.program_operator(alg.build_oracle_with_aux(alg.BooleanFn(2, table)), alg.CYCLE4)
+        got = alg.walk_to_circuit_operator(m)
+        assert got.dtype == complex and np.array_equal(got, product_walk_to_circuit(m))
+
+    def test_gather_equals_the_products_on_random_matrices(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+            assert np.array_equal(alg.walk_to_circuit_operator(m), product_walk_to_circuit(m))
 
 
 class TestNoAuxOracle:
@@ -234,29 +285,29 @@ class TestNoAuxOracle:
         }
 
     def test_all_zeros(self):
-        (step,) = alg.build_oracle_no_aux(alg.BooleanFn(2, TABLE_1["i"])).steps
+        (step,) = alg.build_oracle_no_aux(alg.BooleanFn(2, TABLE_1["i"]))
         for x2 in (0, 1):
             np.testing.assert_array_equal(step.coin_map[x2], np.eye(2))
 
     def test_x1(self):
-        (step,) = alg.build_oracle_no_aux(alg.BooleanFn(2, TABLE_1["iii"])).steps
+        (step,) = alg.build_oracle_no_aux(alg.BooleanFn(2, TABLE_1["iii"]))
         for x2 in (0, 1):
             np.testing.assert_array_equal(step.coin_map[x2], np.diag([1.0, -1.0]))
 
     def test_x2(self):
-        (step,) = alg.build_oracle_no_aux(alg.BooleanFn(2, TABLE_1["iv"])).steps
+        (step,) = alg.build_oracle_no_aux(alg.BooleanFn(2, TABLE_1["iv"]))
         np.testing.assert_array_equal(step.coin_map[0], np.eye(2))
         np.testing.assert_array_equal(step.coin_map[1], -np.eye(2))
 
     def test_xor(self):
-        (step,) = alg.build_oracle_no_aux(alg.BooleanFn(2, TABLE_1["vii"])).steps
+        (step,) = alg.build_oracle_no_aux(alg.BooleanFn(2, TABLE_1["vii"]))
         np.testing.assert_array_equal(step.coin_map[0], np.diag([1.0, -1.0]))
         np.testing.assert_array_equal(step.coin_map[1], np.diag([-1.0, 1.0]))
 
     @pytest.mark.parametrize("name", sorted(TABLE_1))
     def test_diagonal_phases(self, name):
         f = alg.BooleanFn(2, TABLE_1[name])
-        op = alg.oracle_operator(alg.build_oracle_no_aux(f))
+        op = wc.program_operator(alg.build_oracle_no_aux(f), alg.scheme_topology(alg.NO_AUX))
         off = op - np.diag(np.diag(op))
         assert np.max(np.abs(off)) <= 1e-12
         want = np.array([(-1.0) ** f.value(x) for x in range(4)])
@@ -410,10 +461,10 @@ class TestBernsteinVazirani:
         f_dj = dict(alg.two_bit_catalogue())[dj_name]
         for build in (alg.build_oracle_with_aux, alg.build_oracle_no_aux):
             a, b = build(f_s), build(f_dj)
-            assert set(a.steps[0].coin_map) == set(b.steps[0].coin_map)
-            for pos in a.steps[0].coin_map:
+            assert set(a[0].coin_map) == set(b[0].coin_map)
+            for pos in a[0].coin_map:
                 np.testing.assert_array_equal(
-                    a.steps[0].coin_map[pos], b.steps[0].coin_map[pos]
+                    a[0].coin_map[pos], b[0].coin_map[pos]
                 )
 
     def test_longer_string_brute_force_path(self):

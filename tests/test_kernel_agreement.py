@@ -49,12 +49,12 @@ def test_open_line_operator_matches_every_accepted_step(size):
     compared = rejected = 0
     for _ in range(40):
         step = random_step(rng, size)
-        op = wc.step_operator(step, topo)
+        op = wc.program_operator([step], topo)
         for coin in (0, 1):
             for position in range(size):
                 state = WalkState.basis(topo, coin, position)
                 try:
-                    out = wc.apply_step(state, step)
+                    out = wc.run_program(state, [step])
                 except wc.BoundaryViolation:
                     rejected += 1
                     continue
@@ -68,7 +68,7 @@ def test_operator_path_checks_unitarity_after_each_step():
     topo = Topology(wc.CLOSED_CYCLE, 3)
     bad = WalkStep({1: np.diag([1.0, 1.001])})
     with pytest.raises(wc.WalkError, match="not unitary"):
-        wc.step_operator(bad, topo)
+        wc.program_operator([bad], topo)
     with pytest.raises(wc.WalkError, match="not unitary"):
         wc.program_operator([WalkStep(shift=wc.s_plus(0)), bad], topo)
 
@@ -80,22 +80,22 @@ class TestSizeOneTopology:
     def test_state_path_rejects_shift(self):
         state = WalkState.basis(self.topo, 0, 0)
         with pytest.raises(ValueError, match="shift requires at least two positions"):
-            wc.apply_step(state, self.step)
+            wc.run_program(state, [self.step])
         with pytest.raises(ValueError, match="shift requires at least two positions"):
             wc.run_program(state, [self.step])
 
     def test_operator_path_rejects_shift(self):
         with pytest.raises(ValueError, match="shift requires at least two positions"):
-            wc.step_operator(self.step, self.topo)
+            wc.program_operator([self.step], self.topo)
         with pytest.raises(ValueError, match="shift requires at least two positions"):
             wc.build_shift(self.step.shift, self.topo)
 
     def test_coin_only_step_is_accepted(self):
         state = WalkState.basis(self.topo, 0, 0)
         step = WalkStep({0: np.array([[0.0, 1.0], [1.0, 0.0]])})
-        out = wc.apply_step(state, step)
+        out = wc.run_program(state, [step])
         np.testing.assert_array_equal(out.amplitudes, [0, 1])
-        op = wc.step_operator(step, self.topo)
+        op = wc.program_operator([step], self.topo)
         np.testing.assert_array_equal(op, [[0, 1], [1, 0]])
 
 
@@ -206,4 +206,4 @@ COMPONENT_MATRICES = [
     "comp,expected", COMPONENT_MATRICES, ids=[c.kind for c, _ in COMPONENT_MATRICES]
 )
 def test_component_matrix_written_out(comp, expected):
-    np.testing.assert_allclose(ph.component_matrix(comp, 3), expected, atol=1e-15)
+    np.testing.assert_allclose(ph._operator(3, [comp]), expected, atol=1e-15)

@@ -48,14 +48,14 @@ class TestBeamSplitter:
         np.testing.assert_allclose(b @ b, np.eye(2), atol=1e-12)
 
     def test_even_split(self):
-        m = ph.component_matrix(ph.BeamSplitter(0, 1), 2)
+        m = ph._operator(2, [ph.BeamSplitter(0, 1)])
         out = m @ wc.WalkState.basis(alg.LINE2, 0, 0).amplitudes
         probs = np.abs(out) ** 2
         assert probs[0] == pytest.approx(0.5)
         assert probs[1] == pytest.approx(0.5)
 
     def test_acts_identically_on_both_polarizations(self):
-        m = ph.component_matrix(ph.BeamSplitter(0, 1), 2)
+        m = ph._operator(2, [ph.BeamSplitter(0, 1)])
         h_block = m[:2, :2]
         v_block = m[2:, 2:]
         np.testing.assert_allclose(h_block, v_block)
@@ -63,17 +63,17 @@ class TestBeamSplitter:
 
 class TestPBS:
     def test_h_transmitted(self):
-        m = ph.component_matrix(ph.pbs(0, 1), 2)
+        m = ph._operator(2, [ph.pbs(0, 1)])
         out = m @ wc.WalkState.basis(alg.LINE2, 0, 0).amplitudes
         np.testing.assert_allclose(out, wc.WalkState.basis(alg.LINE2, 0, 0).amplitudes)
 
     def test_v_routed(self):
-        m = ph.component_matrix(ph.pbs(0, 1), 2)
+        m = ph._operator(2, [ph.pbs(0, 1)])
         out = m @ wc.WalkState.basis(alg.LINE2, 1, 0).amplitudes
         np.testing.assert_allclose(out, wc.WalkState.basis(alg.LINE2, 1, 1).amplitudes)
 
     def test_superposition_and_unitarity(self):
-        m = ph.component_matrix(ph.pbs(0, 1), 2)
+        m = ph._operator(2, [ph.pbs(0, 1)])
         inp = (
             wc.WalkState.basis(alg.LINE2, 0, 0).amplitudes
             + wc.WalkState.basis(alg.LINE2, 1, 0).amplitudes
@@ -95,7 +95,7 @@ class TestPBS:
 class TestCompile:
     def test_with_aux_constant_one_oracle(self):
         oracle = alg.build_oracle_with_aux(alg.BooleanFn(2, (1, 1, 1, 1)))
-        circuit = ph.compile(list(oracle.steps), alg.WITH_AUX)
+        circuit = ph.compile(list(oracle), alg.WITH_AUX)
         comps = [c for stage in circuit.stages for c in stage]
         assert len(comps) == 4
         assert all(isinstance(c, ph.HWP) for c in comps)
@@ -104,14 +104,14 @@ class TestCompile:
 
     def test_no_aux_x2_oracle(self):
         oracle = alg.build_oracle_no_aux(dict(alg.two_bit_catalogue())["iv"])
-        circuit = ph.compile(list(oracle.steps), alg.NO_AUX)
+        circuit = ph.compile(list(oracle), alg.NO_AUX)
         comps = [c for stage in circuit.stages for c in stage]
         assert comps == [ph.PhaseShifter(np.pi, 1)]
         assert ph.count_components(circuit).hwp == 0
 
     def test_no_aux_xor_oracle(self):
         oracle = alg.build_oracle_no_aux(dict(alg.two_bit_catalogue())["vii"])
-        circuit = ph.compile(list(oracle.steps), alg.NO_AUX)
+        circuit = ph.compile(list(oracle), alg.NO_AUX)
         comps = [c for stage in circuit.stages for c in stage]
         assert comps == [ph.HWP(0.0, 0), ph.HWP(np.pi / 2, 1)]
 
@@ -272,6 +272,17 @@ class TestResourceReport:
         assert no_aux["readout"]["polarization_resolving"]
         assert "PBS" in no_aux["readout"]["elements"]
 
+    @pytest.mark.parametrize("algorithm", ["zz", "", "DJ", None])
+    def test_an_unknown_algorithm_is_rejected(self, algorithm):
+        f = dict(alg.two_bit_catalogue())["i"]
+        want = f"unknown algorithm: {algorithm!r}"
+        with pytest.raises(ValueError) as info:
+            ph.compile(alg.build_dj_program(f, alg.WITH_AUX), alg.WITH_AUX, algorithm)
+        assert str(info.value) == want
+        with pytest.raises(ValueError) as info:
+            ph.resource_report([("i", f)], algorithm=algorithm)
+        assert str(info.value) == want
+
 
 class TestCircuitJSON:
     def test_shape(self):
@@ -297,6 +308,20 @@ class TestCircuitJSON:
         want = json.dumps(ph.circuit_to_json(circuit(int)))
         for i in (np.int64, np.int32, np.uint8):
             assert json.dumps(ph.circuit_to_json(circuit(i))) == want, i
+
+    def test_numpy_int_mode_count_is_stored_as_an_int(self):
+        circuit = ph.PhotonicCircuit(np.int64(2), [(ph.HWP(0.3, 1),)])
+        assert type(circuit.n_modes) is int and circuit.n_modes == 2
+        assert json.loads(json.dumps(ph.circuit_to_json(circuit)))["n_modes"] == 2
+        want = ph._operator(2, [ph.HWP(0.3, 1)])
+        np.testing.assert_array_equal(ph.circuit_operator(circuit), want)
+
+
+@pytest.mark.parametrize("n_modes", [-1, 0, 2.0, True, "2", None])
+def test_a_mode_count_that_is_not_a_positive_int_is_rejected(n_modes):
+    with pytest.raises(ValueError) as info:
+        ph.PhotonicCircuit(n_modes, [])
+    assert str(info.value) == f"mode count must be a positive int, got {n_modes!r}"
 
 
 def any_component(n_modes):

@@ -160,7 +160,7 @@ def test_random_coins_give_the_old_products():
         amps /= np.linalg.norm(amps)
         got = wc.run_program(wc.WalkState(topo, amps), [step]).amplitudes
         assert np.array_equal(got, old_run_program(amps, [step], topo))
-        assert np.array_equal(wc.step_operator(step, topo), old_step_matrix(topo, step))
+        assert np.array_equal(wc.program_operator([step], topo), old_step_matrix(topo, step))
 
 
 def test_unitary_deviation_equals_the_old_formula():

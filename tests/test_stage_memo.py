@@ -135,5 +135,5 @@ def test_numpy_int_modes_share_the_int_stage():
     stage = (ph.HWP(0.3, np.int64(1)),)
     circuit = ph.PhotonicCircuit(2, [stage])
     np.testing.assert_array_equal(
-        ph.circuit_operator(circuit), ph.component_matrix(ph.HWP(0.3, 1), 2)
+        ph.circuit_operator(circuit), ph._operator(2, [ph.HWP(0.3, 1)])
     )

@@ -46,16 +46,16 @@ def test_shift_accepts_numpy_ints():
 
 def test_nan_global_phase_raises_on_the_state_path():
     with pytest.raises(wc.WalkError, match="step 0: step did not preserve the state norm"):
-        wc.apply_step(WalkState.basis(CYCLE4, 0, 0), WalkStep(global_phase=np.nan))
+        wc.run_program(WalkState.basis(CYCLE4, 0, 0), [WalkStep(global_phase=np.nan)])
 
 
 def test_nan_coin_raises_on_both_paths():
     step = WalkStep({0: NAN_COIN})
     message = re.escape("coin at position 0 is not unitary (max deviation nan)")
     with pytest.raises(wc.WalkError, match=f"step 0: {message}"):
-        wc.apply_step(WalkState.basis(CYCLE4, 0, 0), step)
+        wc.run_program(WalkState.basis(CYCLE4, 0, 0), [step])
     with pytest.raises(wc.WalkError, match="not unitary"):
-        wc.step_operator(step, CYCLE4)
+        wc.program_operator([step], CYCLE4)
 
 
 @pytest.mark.parametrize("entry", range(4))
@@ -80,7 +80,7 @@ def test_non_unitary_coin_on_an_empty_site_raises_on_both_paths():
     step = WalkStep({2: np.diag([1.0, 2.0])})
     message = re.escape("coin at position 2 is not unitary (max deviation 3.000e+00)")
     with pytest.raises(wc.WalkError, match=f"^step 0: {message}$"):
-        wc.apply_step(WalkState.basis(CYCLE4, 0, 0), step)
+        wc.run_program(WalkState.basis(CYCLE4, 0, 0), [step])
     with pytest.raises(wc.WalkError, match=f"^step 1: {message}$"):
         wc.run_program(WalkState.basis(CYCLE4, 0, 0), [WalkStep(), step])
     with pytest.raises(wc.WalkError, match=f"^{message}$"):
@@ -91,15 +91,15 @@ def test_position_and_shape_are_checked_before_unitarity():
     bad = np.diag([1.0, 2.0])
     state = WalkState.basis(CYCLE4, 0, 0)
     with pytest.raises(wc.WalkError, match="coin position 7 outside a topology of size 4"):
-        wc.apply_step(state, WalkStep({0: bad, 7: bad}))
+        wc.run_program(state, [WalkStep({0: bad, 7: bad})])
     with pytest.raises(wc.WalkError, match=re.escape("coin at position 1 has shape (3, 3)")):
-        wc.apply_step(state, WalkStep({0: bad, 1: np.eye(3)}))
+        wc.run_program(state, [WalkStep({0: bad, 1: np.eye(3)})])
 
 
 def test_first_non_unitary_coin_is_named():
     step = WalkStep({0: alg.COIN_X, 3: np.diag([1.0, 0.5]), 1: 2 * np.eye(2)})
     with pytest.raises(wc.WalkError, match="^coin at position 3 is not unitary"):
-        wc.step_operator(step, CYCLE4)
+        wc.program_operator([step], CYCLE4)
 
 
 def test_nan_wave_plate_raises_in_simulate_photonic():
@@ -116,7 +116,7 @@ def test_coin_that_is_not_2x2_raises_walk_error_on_both_paths(coin):
     with pytest.raises(wc.WalkError, match=f"step 1: {message}"):
         wc.run_program(state, [WalkStep(), step])
     with pytest.raises(wc.WalkError, match=message):
-        wc.step_operator(step, CYCLE4)
+        wc.program_operator([step], CYCLE4)
     with pytest.raises(wc.WalkError, match=message):
         wc.program_operator([WalkStep(), step], CYCLE4)
 
@@ -133,11 +133,11 @@ def test_mutating_the_source_after_construction_leaves_the_step_unchanged():
     source = alg.COIN_X.copy()
     step = WalkStep({1: source}, wc.s_plus(1), 0.25, "t")
     twin = WalkStep({1: alg.COIN_X.copy()}, wc.s_plus(1), 0.25, "t")
-    op = wc.step_operator(step, CYCLE4)
+    op = wc.program_operator([step], CYCLE4)
     source[...] = alg.COIN_PHASE_FLIP_1
     assert step == twin and hash(step) == hash(twin)
     np.testing.assert_array_equal(step.coin_map[1], alg.COIN_X)
-    np.testing.assert_array_equal(wc.step_operator(step, CYCLE4), op)
+    np.testing.assert_array_equal(wc.program_operator([step], CYCLE4), op)
 
 
 def test_steps_compare_positions_with_their_type():
@@ -170,7 +170,9 @@ def test_a_rebuilt_step_is_equal_hashes_alike_and_acts_alike(step):
     copy = rebuilt(step)
     assert copy is not step
     assert copy == step and hash(copy) == hash(step)
-    np.testing.assert_array_equal(wc.step_operator(copy, CYCLE4), wc.step_operator(step, CYCLE4))
+    np.testing.assert_array_equal(
+        wc.program_operator([copy], CYCLE4), wc.program_operator([step], CYCLE4)
+    )
 
 
 @pytest.mark.parametrize(

@@ -25,13 +25,14 @@ def per_case_norm_draws():
 
 def test_norm_suite_steps_carry_the_per_case_draws(monkeypatch):
     seen = []
-    apply_step = wc.apply_step
+    run_program = wc.run_program
 
-    def recording_apply_step(state, step):
+    def recording_run_program(state, steps):
+        (step,) = steps
         seen.append((state.amplitudes, step))
-        return apply_step(state, step)
+        return run_program(state, steps)
 
-    monkeypatch.setattr(cli.wc, "apply_step", recording_apply_step)
+    monkeypatch.setattr(cli.wc, "run_program", recording_run_program)
     cli._suite_norm_preservation({})
     want = per_case_norm_draws()
     assert len(seen) == len(want) == 50
@@ -71,12 +72,12 @@ def test_build_coin_rejects_a_non_finite_angle_as_not_unitary(angle, which):
 
 
 def test_norm_suite_still_fails_on_a_drifting_step(monkeypatch):
-    apply_step = wc.apply_step
+    run_program = wc.run_program
 
-    def drifting(state, step):
-        out = apply_step(state, step)
+    def drifting(state, steps):
+        out = run_program(state, steps)
         return wc.WalkState(out.topology, out.amplitudes * (1 + 1e-6))
 
-    monkeypatch.setattr(cli.wc, "apply_step", drifting)
+    monkeypatch.setattr(cli.wc, "run_program", drifting)
     with pytest.raises(AssertionError, match="norm drifted"):
         cli._suite_norm_preservation({})

@@ -86,11 +86,11 @@ def test_mutating_a_source_coin_after_compile_changes_nothing(scheme):
     pos = next(iter(program[k].coin_map))
     source = program[k].coin_map[pos].copy()
     program[k] = with_coin(program[k], pos, source)
-    op = wc.step_operator(program[k], alg.scheme_topology(scheme))
+    op = wc.program_operator([program[k]], alg.scheme_topology(scheme))
     assert ph.circuit_to_json(ph.compile(program, scheme)) == want
     source[...] = alg.COIN_PHASE_FLIP_1
     assert program[k] == alg.build_dj_program(VII, scheme)[k]
-    assert np.array_equal(wc.step_operator(program[k], alg.scheme_topology(scheme)), op)
+    assert np.array_equal(wc.program_operator([program[k]], alg.scheme_topology(scheme)), op)
     assert ph.circuit_to_json(ph.compile(program, scheme)) == want
 
 

@@ -105,7 +105,7 @@ class TestBuildShift:
 class TestApplyStep:
     def test_x_everywhere_flips_coin(self):
         state = WalkState.basis(CYCLE4, 0, 0)
-        out = wc.apply_step(state, WalkStep({l: X for l in range(4)}))
+        out = wc.run_program(state, [WalkStep({l: X for l in range(4)})])
         np.testing.assert_allclose(out.amplitudes, WalkState.basis(CYCLE4, 1, 0).amplitudes)
 
     def test_identity_step(self):
@@ -113,12 +113,12 @@ class TestApplyStep:
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         amps /= np.linalg.norm(amps)
         state = WalkState(CYCLE4, amps)
-        out = wc.apply_step(state, WalkStep())
+        out = wc.run_program(state, [WalkStep()])
         np.testing.assert_allclose(out.amplitudes, amps)
 
     def test_entangling_shift(self):
         amps = np.array([1, 0, 1, 0], dtype=complex) / np.sqrt(2)  # (|0>+|1>)|0>
-        out = wc.apply_step(WalkState(LINE2, amps), WalkStep(shift=s_plus(1)))
+        out = wc.run_program(WalkState(LINE2, amps), [WalkStep(shift=s_plus(1))])
         expected = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
         np.testing.assert_allclose(out.amplitudes, expected)
 
@@ -127,7 +127,7 @@ class TestApplyStep:
         state = WalkState.basis(CYCLE4, 0, 0)
         step = WalkStep({position: np.eye(2)})
         with pytest.raises(wc.WalkError, match=f"step 0: coin position {position}.* 4"):
-            wc.apply_step(state, step)
+            wc.run_program(state, [step])
         with pytest.raises(wc.WalkError, match=f"step 1: coin position {position}.* 4"):
             wc.run_program(state, [WalkStep(), step])
 
@@ -135,7 +135,7 @@ class TestApplyStep:
     def test_operator_rejects_coin_position_off_the_graph(self, position):
         step = WalkStep({position: np.eye(2)})
         with pytest.raises(wc.WalkError, match=f"coin position {position}.* 4"):
-            wc.step_operator(step, CYCLE4)
+            wc.program_operator([step], CYCLE4)
         with pytest.raises(wc.WalkError, match=f"coin position {position}.* 4"):
             wc.program_operator([WalkStep(), step], CYCLE4)
 
@@ -147,16 +147,16 @@ class TestApplyStep:
         state = WalkState.basis(CYCLE4, 0, 2)
         step = WalkStep({position: X})
         with pytest.raises(wc.WalkError, match="step 0: coin position .* is not an int"):
-            wc.apply_step(state, step)
+            wc.run_program(state, [step])
         with pytest.raises(wc.WalkError, match="step 1: coin position .* is not an int"):
             wc.run_program(state, [WalkStep(), step])
         with pytest.raises(wc.WalkError, match="coin position .* is not an int"):
-            wc.step_operator(step, CYCLE4)
+            wc.program_operator([step], CYCLE4)
         with pytest.raises(wc.WalkError, match="coin position .* is not an int"):
             wc.program_operator([WalkStep(), step], CYCLE4)
 
     def test_numpy_int_coin_position_is_an_int(self):
-        out = wc.apply_step(WalkState.basis(CYCLE4, 0, 2), WalkStep({np.int64(2): X}))
+        out = wc.run_program(WalkState.basis(CYCLE4, 0, 2), [WalkStep({np.int64(2): X})])
         np.testing.assert_array_equal(out.amplitudes, WalkState.basis(CYCLE4, 1, 2).amplitudes)
 
     def test_norm_preserved_random(self):
@@ -169,19 +169,19 @@ class TestApplyStep:
                 q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
                 coin_map[l] = q
             step = WalkStep(coin_map, s_plus(int(rng.integers(2))), rng.uniform(0, 2 * np.pi))
-            out = wc.apply_step(WalkState(CYCLE4, amps), step)
+            out = wc.run_program(WalkState(CYCLE4, amps), [step])
             assert abs(out.norm() - 1.0) <= 1e-10
 
     def test_boundary_violation(self):
         line3 = Topology(wc.OPEN_LINE, 3)
         state = WalkState.basis(line3, 1, 2)
         with pytest.raises(wc.BoundaryViolation):
-            wc.apply_step(state, WalkStep(shift=s_plus(1)))
+            wc.run_program(state, [WalkStep(shift=s_plus(1))])
 
     def test_boundary_ok_when_edge_cell_empty(self):
         line3 = Topology(wc.OPEN_LINE, 3)
         state = WalkState.basis(line3, 1, 0)
-        out = wc.apply_step(state, WalkStep(shift=s_plus(1)))
+        out = wc.run_program(state, [WalkStep(shift=s_plus(1))])
         np.testing.assert_allclose(out.amplitudes, WalkState.basis(line3, 1, 1).amplitudes)
 
 
