@@ -179,7 +179,7 @@ def _suite_shift_structure(perturb):
     topos = [alg.CYCLE4, alg.LINE2, wc.Topology(wc.OPEN_LINE, 5)]
     shifts = [wc.s_plus(0), wc.s_plus(1), wc.s_minus(0), wc.s_minus(1)]
     for topo in topos:  # axis 0 is the shift, so axis 1 sums columns and axis 2 rows
-        mags = np.abs(np.array([wc.build_shift(shift, topo) for shift in shifts]))
+        mags = np.abs([wc.program_operator([wc.WalkStep(shift=s)], topo) for s in shifts])
         assert np.all(np.isclose(mags.sum(axis=1), 1.0)), "not a permutation"
         assert np.all(np.isclose(mags.sum(axis=2), 1.0)), "not a permutation"
         assert np.all((mags < wc.EXACT_TOL) | (np.abs(mags - 1) < wc.EXACT_TOL))

@@ -24,7 +24,9 @@ from .walk_core import (
     NORM_TOL,
     Topology,
     WalkState,
+    _is_finite_real,
     _is_int,
+    _kernel_matrix,
     _norm,
     program_operator,
 )
@@ -65,6 +67,8 @@ class PhaseShifter:
 
 @dataclass(frozen=True)
 class PBS:
+    """Polarizing beam splitter: transmits H in place, routes V between modes."""
+
     mode_a: int
     mode_b: int
     kind: str = field(default="pbs", init=False)
@@ -83,13 +87,6 @@ class ModePermuter:
 Component = Union[HWP, BeamSplitter, PhaseShifter, PBS, ModePermuter]
 
 
-def pbs(mode_a: int, mode_b: int) -> PBS:
-    """Polarizing beam splitter: transmits H in place, routes V between modes."""
-    if mode_a == mode_b:
-        raise ModeCollision("PBS needs two distinct modes")
-    return PBS(mode_a, mode_b)
-
-
 def hwp_jones(alpha: float) -> np.ndarray:
     """Jones matrix of a half-wave plate at angle alpha: orthogonal, det -1."""
     c, s = np.cos(2 * alpha), np.sin(2 * alpha)
@@ -102,11 +99,17 @@ def bs_matrix() -> np.ndarray:
 
 
 def _component_modes(comp: Component) -> tuple:
+    """The modes a component uses; a non-component, or an angle or phase that is
+    not a finite int or float, raises ValueError."""
     if isinstance(comp, (HWP, PhaseShifter)):
+        if not _is_finite_real(comp.angle if isinstance(comp, HWP) else comp.phase):
+            raise ValueError(f"{comp!r}: angle or phase is not a finite int or float")
         return (comp.mode,)
     if isinstance(comp, (BeamSplitter, PBS)):
         return (comp.mode_a, comp.mode_b)
-    return comp.permutation
+    if isinstance(comp, ModePermuter):
+        return comp.permutation
+    raise ValueError(f"stage entry {comp!r} is not an optical component")
 
 
 @dataclass(frozen=True)
@@ -125,8 +128,10 @@ class PhotonicCircuit:
         if not (_is_int(self.n_modes) and self.n_modes >= 1):  # the rule of Topology.size
             raise ValueError(f"mode count must be a positive int, got {self.n_modes!r}")
         object.__setattr__(self, "n_modes", int(self.n_modes))  # np.int64 -> int, for JSON
-        stages = tuple(tuple(stage) for stage in self.stages)
+        stages = tuple(self.stages)
         for stage in stages:
+            if not isinstance(stage, (tuple, list)):
+                raise ValueError(f"stage {stage!r} is not a tuple of components")
             used: list = []
             for comp in stage:
                 modes = _component_modes(comp)
@@ -147,7 +152,7 @@ class PhotonicCircuit:
                 used += modes
             if len(set(used)) < len(used):
                 raise ModeCollision("stage components must act on disjoint modes")
-        object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "stages", tuple(map(tuple, stages)))
 
 
 def _apply_component(amps: np.ndarray, comp: Component) -> None:
@@ -172,32 +177,17 @@ def _apply_component(amps: np.ndarray, comp: Component) -> None:
         raise TypeError(f"unknown component: {comp!r}")
 
 
-def _operator(n_modes: int, components) -> np.ndarray:
-    """Full-space matrix of components applied in order to the identity columns."""
-    m = np.eye(2 * n_modes, dtype=complex)
-    columns = m.reshape(2, n_modes, 2 * n_modes)
-    for comp in components:
-        _apply_component(columns, comp)
-    return m
-
-
-@functools.lru_cache(maxsize=128)
-def _stage_operator(n_modes: int, stage: tuple) -> np.ndarray:
-    """Read-only matrix of one stage, built once per distinct stage and process.
-
-    Both optics paths read it, so the stages that do not depend on f (prep,
-    Hadamard butterflies) are built once however many circuits use them.
-    """
-    m = _operator(n_modes, stage)
-    m.setflags(write=False)
-    return m
+def _apply_stage(amps: np.ndarray, stage: tuple) -> None:
+    """Apply one stage's components in order, in place: the optics kernel."""
+    for comp in stage:
+        _apply_component(amps, comp)
 
 
 def circuit_operator(circuit: PhotonicCircuit) -> np.ndarray:
     """Induced unitary of the whole circuit: the product of its stage matrices."""
     m = np.eye(2 * circuit.n_modes, dtype=complex)
     for stage in circuit.stages:
-        m = _stage_operator(circuit.n_modes, stage).dot(m)
+        m = _kernel_matrix(_apply_stage, circuit.n_modes, stage).dot(m)
     return m
 
 
@@ -212,7 +202,7 @@ def simulate_photonic(circuit: PhotonicCircuit, state: WalkState) -> WalkState:
     amps = state.amplitudes
     norm = state.norm()
     for stage in circuit.stages:
-        amps = _stage_operator(circuit.n_modes, stage).dot(amps)
+        amps = _kernel_matrix(_apply_stage, circuit.n_modes, stage).dot(amps)
         if not abs(_norm(amps) - norm) <= NORM_TOL:  # NaN fails
             raise ValueError("stage did not preserve the state norm")
     return WalkState(state.topology, amps)
@@ -254,7 +244,7 @@ def _lower_step(step) -> tuple:
 
 
 # Stages of the position-Hadamard butterfly per mode count, one tuple each, so
-# ``_stage_operator`` finds its stages by identity.  Beam splitters realize H on
+# ``_kernel_matrix`` finds its stages by identity.  Beam splitters realize H on
 # the path qubits; on four modes a butterfly of two BS stages with interleaved
 # relabelings gives H on both working qubits of the Gray-labeled cycle.
 _POSITION_HADAMARD_STAGES = {

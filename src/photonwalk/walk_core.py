@@ -65,6 +65,7 @@ class Topology:
             raise ValueError(f"unknown topology kind: {self.kind!r}")
         if not (_is_int(self.size) and self.size >= 1):  # 2.0 would give a float dim
             raise ValueError(f"topology size must be a positive int, got {self.size!r}")
+        object.__setattr__(self, "size", int(self.size))  # np.int64 -> int, for JSON
 
     @property
     def dim(self) -> int:
@@ -73,6 +74,11 @@ class Topology:
 
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_finite_real(x) -> bool:
+    """An int or a finite float64; a float32 angle gives a stage unitary only to ~1e-8."""
+    return (_is_int(x) or isinstance(x, float)) and abs(x) < math.inf
 
 
 @dataclass(frozen=True)
@@ -110,15 +116,6 @@ def _forbidden_edge(shift: Shift, topology: Topology) -> Optional[tuple]:
     if shift.direction > 0:
         return topology.size - 1, 0
     return 0, topology.size - 1
-
-
-def build_shift(shift: Shift, topology: Topology) -> np.ndarray:
-    """Full-space shift operator (a 2*size x 2*size permutation).
-
-    On an open line the operator includes the wrap edge, so it equals
-    ``run_program`` on every state that ``run_program`` accepts.
-    """
-    return program_operator([WalkStep(shift=shift)], topology)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,12 +278,13 @@ def evolve(amps: np.ndarray, step: WalkStep) -> None:
         amps *= np.exp(1j * step.global_phase)
 
 
-@functools.lru_cache(maxsize=256)
-def _step_matrix(topology: Topology, step: WalkStep) -> np.ndarray:
-    """Read-only matrix of one step, ``evolve`` on the identity columns, built once
-    per distinct step and process; a step ``evolve`` rejects raises on every call."""
-    m = np.eye(topology.dim, dtype=complex)
-    evolve(m.reshape(2, topology.size, topology.dim), step)
+@functools.lru_cache(maxsize=384)
+def _kernel_matrix(kernel, size: int, item) -> np.ndarray:
+    """Read-only matrix of one walk step or optical stage: the in-place ``kernel``
+    on the identity columns, built once per distinct (kernel, size, item) and
+    process; an item the kernel rejects raises on every call."""
+    m = np.eye(2 * size, dtype=complex)
+    kernel(m.reshape(2, size, 2 * size), item)
     m.setflags(write=False)
     return m
 
@@ -294,11 +292,13 @@ def _step_matrix(topology: Topology, step: WalkStep) -> np.ndarray:
 def program_operator(steps: Sequence[WalkStep], topology: Topology) -> np.ndarray:
     """Operator of a whole program: the product of its step matrices, a new array.
 
-    Shifts on an open line include the wrap edge (see ``build_shift``).
+    Shifts on an open line include the wrap edge, so the operator equals
+    ``run_program`` on every state that ``run_program`` accepts; ``evolve``
+    reads only the size, so the step matrices are keyed by size, not kind.
     """
     m = np.eye(topology.dim, dtype=complex)
     for step in steps:
-        m = _step_matrix(topology, step).dot(m)
+        m = _kernel_matrix(evolve, topology.size, step).dot(m)
         _check_unitary(m)
     return m
 
@@ -315,7 +315,7 @@ def run_program(state: WalkState, steps: Sequence[WalkStep]) -> WalkState:
     norm = state.norm()
     for i, step in enumerate(steps):
         try:
-            # Not _step_matrix: a matrix-vector product leaves ~1e-17 where evolve gives 0.
+            # Not _kernel_matrix: a matrix-vector product leaves ~1e-17 where evolve gives 0.
             evolve(view, step)
             if step.shift is not None:
                 edge = _forbidden_edge(step.shift, topology)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from photonwalk import algorithms as alg
 from photonwalk import photonic as ph
 from photonwalk import walk_core as wc
+from test_kernel_agreement import fold_components
 
 H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
@@ -48,14 +49,14 @@ class TestBeamSplitter:
         np.testing.assert_allclose(b @ b, np.eye(2), atol=1e-12)
 
     def test_even_split(self):
-        m = ph._operator(2, [ph.BeamSplitter(0, 1)])
+        m = fold_components(2, [ph.BeamSplitter(0, 1)])
         out = m @ wc.WalkState.basis(alg.LINE2, 0, 0).amplitudes
         probs = np.abs(out) ** 2
         assert probs[0] == pytest.approx(0.5)
         assert probs[1] == pytest.approx(0.5)
 
     def test_acts_identically_on_both_polarizations(self):
-        m = ph._operator(2, [ph.BeamSplitter(0, 1)])
+        m = fold_components(2, [ph.BeamSplitter(0, 1)])
         h_block = m[:2, :2]
         v_block = m[2:, 2:]
         np.testing.assert_allclose(h_block, v_block)
@@ -63,17 +64,17 @@ class TestBeamSplitter:
 
 class TestPBS:
     def test_h_transmitted(self):
-        m = ph._operator(2, [ph.pbs(0, 1)])
+        m = fold_components(2, [ph.PBS(0, 1)])
         out = m @ wc.WalkState.basis(alg.LINE2, 0, 0).amplitudes
         np.testing.assert_allclose(out, wc.WalkState.basis(alg.LINE2, 0, 0).amplitudes)
 
     def test_v_routed(self):
-        m = ph._operator(2, [ph.pbs(0, 1)])
+        m = fold_components(2, [ph.PBS(0, 1)])
         out = m @ wc.WalkState.basis(alg.LINE2, 1, 0).amplitudes
         np.testing.assert_allclose(out, wc.WalkState.basis(alg.LINE2, 1, 1).amplitudes)
 
     def test_superposition_and_unitarity(self):
-        m = ph._operator(2, [ph.pbs(0, 1)])
+        m = fold_components(2, [ph.PBS(0, 1)])
         inp = (
             wc.WalkState.basis(alg.LINE2, 0, 0).amplitudes
             + wc.WalkState.basis(alg.LINE2, 1, 0).amplitudes
@@ -89,7 +90,7 @@ class TestPBS:
     def test_mode_collision(self):
         for mode in (0, 1):
             with pytest.raises(ph.ModeCollision):
-                ph.pbs(mode, mode)
+                ph.PhotonicCircuit(2, [[ph.PBS(mode, mode)]])
 
 
 class TestCompile:
@@ -313,7 +314,7 @@ class TestCircuitJSON:
         circuit = ph.PhotonicCircuit(np.int64(2), [(ph.HWP(0.3, 1),)])
         assert type(circuit.n_modes) is int and circuit.n_modes == 2
         assert json.loads(json.dumps(ph.circuit_to_json(circuit)))["n_modes"] == 2
-        want = ph._operator(2, [ph.HWP(0.3, 1)])
+        want = fold_components(2, [ph.HWP(0.3, 1)])
         np.testing.assert_array_equal(ph.circuit_operator(circuit), want)
 
 
@@ -322,6 +323,42 @@ def test_a_mode_count_that_is_not_a_positive_int_is_rejected(n_modes):
     with pytest.raises(ValueError) as info:
         ph.PhotonicCircuit(n_modes, [])
     assert str(info.value) == f"mode count must be a positive int, got {n_modes!r}"
+
+
+@pytest.mark.parametrize(
+    "stages,message",
+    [
+        ([ph.HWP(0.1, 0)], "stage HWP(angle=0.1, mode=0, kind='hwp') is not a tuple of components"),
+        ([(ph.HWP(0.1, 0), 1)], "stage entry 1 is not an optical component"),
+        ([("x",)], "stage entry 'x' is not an optical component"),
+    ],
+    ids=["bare-component", "int-entry", "str-entry"],
+)
+def test_a_stage_that_is_not_a_tuple_of_components_is_rejected(stages, message):
+    with pytest.raises(ValueError) as info:
+        ph.PhotonicCircuit(2, stages)
+    assert str(info.value) == message
+
+
+BAD_ANGLES = [np.nan, np.inf, -np.inf, np.float64("nan"), "x", None, True, 0.5j, np.float32(0.25)]
+
+
+@pytest.mark.parametrize("make", [ph.HWP, ph.PhaseShifter], ids=["hwp", "phase"])
+@pytest.mark.parametrize("angle", BAD_ANGLES, ids=[repr(a) for a in BAD_ANGLES])
+def test_an_angle_or_phase_that_is_not_a_finite_int_or_float_is_rejected(make, angle):
+    comp = make(angle, 1)
+    with pytest.raises(ValueError) as info:
+        ph.PhotonicCircuit(2, [(ph.BeamSplitter(0, 1),), (comp,)])
+    assert str(info.value) == f"{comp!r}: angle or phase is not a finite int or float"
+
+
+def test_finite_real_angles_and_phases_are_accepted():
+    angles = [0, np.int64(1), 0.3, np.float64(-7.5), 1e6]
+    stages = [(ph.HWP(a, 0), ph.PhaseShifter(a, 1)) for a in angles]
+    circuit = ph.PhotonicCircuit(2, stages)
+    m = ph.circuit_operator(circuit)
+    assert np.max(np.abs(m.conj().T @ m - np.eye(4))) <= wc.MATCH_TOL
+    json.dumps(ph.circuit_to_json(circuit), allow_nan=False)
 
 
 def any_component(n_modes):

@@ -11,6 +11,7 @@ from photonwalk import algorithms as alg
 from photonwalk import cli
 from photonwalk import photonic as ph
 from photonwalk import walk_core as wc
+from test_kernel_agreement import fold_components
 
 FUNCTIONS = list(alg.two_bit_catalogue()) + [
     (f"bv {s}", alg.hidden_string_fn(s)) for s, _ in alg.BV_STRINGS
@@ -54,13 +55,13 @@ def old_run_program(amps, steps, topology):
 def old_circuit_operator(circuit):
     m = np.eye(2 * circuit.n_modes, dtype=complex)
     for stage in circuit.stages:
-        m = ph._operator(circuit.n_modes, stage) @ m
+        m = fold_components(circuit.n_modes, stage) @ m
     return m
 
 
 def old_simulate(circuit, amps):
     for stage in circuit.stages:
-        amps = ph._operator(circuit.n_modes, stage) @ amps
+        amps = fold_components(circuit.n_modes, stage) @ amps
     return amps
 
 

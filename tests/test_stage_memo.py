@@ -9,7 +9,7 @@ from photonwalk import cli
 from photonwalk import photonic as ph
 from photonwalk import walk_core as wc
 from photonwalk.walk_core import Topology, WalkState
-from test_kernel_agreement import random_circuit, random_state
+from test_kernel_agreement import fold_components, random_circuit, random_state
 
 CASES = [(name, f) for name, f in alg.two_bit_catalogue()]
 CASES += [(f"bv {s}", alg.hidden_string_fn(s)) for s, _ in alg.BV_STRINGS]
@@ -17,12 +17,7 @@ CASES += [(f"bv {s}", alg.hidden_string_fn(s)) for s, _ in alg.BV_STRINGS]
 
 def fold_operator(circuit):
     """The circuit's operator, one component at a time on the identity columns."""
-    m = np.eye(2 * circuit.n_modes, dtype=complex)
-    columns = m.reshape(2, circuit.n_modes, 2 * circuit.n_modes)
-    for stage in circuit.stages:
-        for comp in stage:
-            ph._apply_component(columns, comp)
-    return m
+    return fold_components(circuit.n_modes, [comp for stage in circuit.stages for comp in stage])
 
 
 def fold_state(circuit, amplitudes):
@@ -45,16 +40,28 @@ def assert_paths_agree(circuit, amplitudes):
 
 
 def test_stage_memo_is_bounded():
-    assert ph._stage_operator.cache_info().maxsize == 128
+    assert wc._kernel_matrix.cache_info().maxsize == 384
 
 
 def test_stage_matrices_are_read_only_and_shared():
     stage = (ph.BeamSplitter(0, 1), ph.HWP(0.3, 2))
-    m = ph._stage_operator(3, stage)
-    assert m is ph._stage_operator(3, (ph.BeamSplitter(0, 1), ph.HWP(0.3, 2)))
+    m = wc._kernel_matrix(ph._apply_stage, 3, stage)
+    assert m is wc._kernel_matrix(ph._apply_stage, 3, (ph.BeamSplitter(0, 1), ph.HWP(0.3, 2)))
     with pytest.raises(ValueError):
         m[0, 0] = 0.0
-    np.testing.assert_array_equal(m, ph._operator(3, stage))
+    np.testing.assert_array_equal(m, fold_components(3, stage))
+
+
+def test_a_bad_stage_raises_on_every_call_and_is_never_cached():
+    stage = (ph.HWP(0.3, 0), "not a component")
+    for _ in range(3):
+        with pytest.raises(TypeError, match="unknown component: 'not a component'"):
+            wc._kernel_matrix(ph._apply_stage, 2, stage)
+    wc._kernel_matrix(ph._apply_stage, 2, ())
+    hits = wc._kernel_matrix.cache_info().hits
+    with pytest.raises(TypeError):
+        wc._kernel_matrix(ph._apply_stage, 2, stage)
+    assert wc._kernel_matrix.cache_info().hits == hits
 
 
 @pytest.mark.parametrize("n_modes", [2, 3, 4, 5])
@@ -135,5 +142,5 @@ def test_numpy_int_modes_share_the_int_stage():
     stage = (ph.HWP(0.3, np.int64(1)),)
     circuit = ph.PhotonicCircuit(2, [stage])
     np.testing.assert_array_equal(
-        ph.circuit_operator(circuit), ph._operator(2, [ph.HWP(0.3, 1)])
+        ph.circuit_operator(circuit), fold_components(2, [ph.HWP(0.3, 1)])
     )

@@ -1,6 +1,7 @@
 """Walk steps as values, and the input checks that hold at run time: shift
 labels, non-finite phases and coins, and coin shape."""
 
+import json
 import re
 
 import numpy as np
@@ -103,7 +104,9 @@ def test_first_non_unitary_coin_is_named():
 
 
 def test_nan_wave_plate_raises_in_simulate_photonic():
-    circuit = ph.PhotonicCircuit(2, ((ph.HWP(np.nan, 0),),))
+    # PhotonicCircuit rejects a NaN angle, so the stage is put past that check.
+    circuit = ph.PhotonicCircuit(2, ())
+    object.__setattr__(circuit, "stages", ((ph.HWP(np.nan, 0),),))
     with pytest.raises(ValueError, match="stage did not preserve the state norm"):
         ph.simulate_photonic(circuit, WalkState.basis(alg.LINE2, 0, 0))
 
@@ -212,6 +215,15 @@ def test_topology_accepts_a_numpy_int_size():
     topo = wc.Topology(wc.OPEN_LINE, np.int64(2))
     assert topo == alg.LINE2 and topo.dim == 4
     assert np.array_equal(WalkState.basis(topo, 1, 1).amplitudes, np.eye(4)[3])
+
+
+@pytest.mark.parametrize("size", [np.int64(2), np.int32(3), np.uint8(5)])
+def test_a_numpy_int_size_is_stored_as_an_int_and_its_state_json_round_trips(size):
+    topo = wc.Topology(wc.OPEN_LINE, size)
+    assert type(topo.size) is int and topo.size == size
+    blob = wc.state_to_json(WalkState.basis(topo, 1, 0))
+    want = wc.state_to_json(WalkState.basis(wc.Topology(wc.OPEN_LINE, int(size)), 1, 0))
+    assert json.loads(json.dumps(blob, allow_nan=False)) == want
 
 
 def test_scheme_topology_rejects_an_unknown_scheme():

@@ -6,6 +6,7 @@ import pytest
 
 from photonwalk import algorithms as alg
 from photonwalk import walk_core as wc
+from test_kernel_agreement import random_step
 
 CASES = [(name, f) for name, f in alg.two_bit_catalogue()]
 CASES += [(f"bv {s}", alg.hidden_string_fn(s)) for s, _ in alg.BV_STRINGS]
@@ -41,13 +42,14 @@ def test_program_operator_equals_the_evolve_fold_exactly(name, steps, scheme):
 
 
 def test_step_memo_is_bounded():
-    assert wc._step_matrix.cache_info().maxsize == 256
+    assert wc._kernel_matrix.cache_info().maxsize == 384
 
 
 def test_step_matrices_are_read_only_and_shared():
     step = wc.WalkStep({1: alg.COIN_X}, wc.s_plus(0))
-    m = wc._step_matrix(alg.CYCLE4, step)
-    assert m is wc._step_matrix(alg.CYCLE4, wc.WalkStep({1: alg.COIN_X}, wc.s_plus(0)))
+    m = wc._kernel_matrix(wc.evolve, alg.CYCLE4.size, step)
+    same = wc.WalkStep({1: alg.COIN_X}, wc.s_plus(0))
+    assert m is wc._kernel_matrix(wc.evolve, alg.CYCLE4.size, same)
     with pytest.raises(ValueError):
         m[0, 0] = 0.0
     np.testing.assert_array_equal(m, evolve_fold([step], alg.CYCLE4))
@@ -55,7 +57,7 @@ def test_step_matrices_are_read_only_and_shared():
 
 def test_operators_are_new_writable_arrays():
     step = wc.WalkStep({0: alg.COIN_HADAMARD})
-    memo = wc._step_matrix(alg.LINE2, step)
+    memo = wc._kernel_matrix(wc.evolve, alg.LINE2.size, step)
     for _ in range(2):  # the second call comes after the first result was written
         op = wc.program_operator([step], alg.LINE2)
         assert op is not memo and not np.shares_memory(op, memo)
@@ -77,12 +79,28 @@ def test_a_bad_step_raises_on_every_call_and_is_never_cached(step, message):
         with pytest.raises(wc.WalkError, match=message):
             wc.program_operator([step], alg.CYCLE4)
         with pytest.raises(wc.WalkError, match=message):
-            wc._step_matrix(alg.CYCLE4, step)
-    wc._step_matrix(alg.CYCLE4, wc.WalkStep())
-    hits = wc._step_matrix.cache_info().hits
+            wc._kernel_matrix(wc.evolve, alg.CYCLE4.size, step)
+    wc._kernel_matrix(wc.evolve, alg.CYCLE4.size, wc.WalkStep())
+    hits = wc._kernel_matrix.cache_info().hits
     with pytest.raises(wc.WalkError):
-        wc._step_matrix(alg.CYCLE4, step)
-    assert wc._step_matrix.cache_info().hits == hits
+        wc._kernel_matrix(wc.evolve, alg.CYCLE4.size, step)
+    assert wc._kernel_matrix.cache_info().hits == hits
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
+def test_the_topology_kind_never_changes_an_operator(size):
+    """The step memo is keyed by size, so each kind must build the same bits."""
+    rng = np.random.default_rng(2200 + size)
+    line, cycle = wc.Topology(wc.OPEN_LINE, size), wc.Topology(wc.CLOSED_CYCLE, size)
+    shifts = set()
+    for _ in range(30):
+        steps = [random_step(rng, size) for _ in range(int(rng.integers(1, 6)))]
+        shifts |= {step.shift for step in steps}
+        wc._kernel_matrix.cache_clear()  # each kind builds its own step matrices
+        on_line = wc.program_operator(steps, line)
+        wc._kernel_matrix.cache_clear()
+        assert np.array_equal(on_line, wc.program_operator(steps, cycle))
+    assert len(shifts) == 5  # no shift and all four
 
 
 def test_a_nan_phase_fails_the_running_product_check_on_every_call():

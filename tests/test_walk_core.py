@@ -7,7 +7,7 @@ from photonwalk.walk_core import (
     WalkState,
     WalkStep,
     build_coins,
-    build_shift,
+    program_operator,
     s_minus,
     s_plus,
 )
@@ -72,7 +72,7 @@ class TestBuildCoin:
 
 class TestBuildShift:
     def test_s_minus_on_cycle(self):
-        m = build_shift(s_minus(0), CYCLE4)
+        m = program_operator([WalkStep(shift=s_minus(0))], CYCLE4)
         v = np.zeros(8)
         v[0] = 1  # |0>|0>
         out = m @ v
@@ -83,7 +83,7 @@ class TestBuildShift:
         assert out[4 + 2] == 1
 
     def test_s_plus_on_line(self):
-        m = build_shift(s_plus(1), LINE2)
+        m = program_operator([WalkStep(shift=s_plus(1))], LINE2)
         v = np.zeros(4)
         v[2] = 1  # |1>|0>
         assert (m @ v)[3] == 1  # |1>|1>
@@ -96,7 +96,7 @@ class TestBuildShift:
         "shift", [s_plus(0), s_plus(1), s_minus(0), s_minus(1)]
     )
     def test_permutation_structure(self, topo, shift):
-        m = np.abs(build_shift(shift, topo))
+        m = np.abs(program_operator([WalkStep(shift=shift)], topo))
         assert np.allclose(m.sum(axis=0), 1.0)
         assert np.allclose(m.sum(axis=1), 1.0)
         assert np.all((m < 1e-15) | (np.abs(m - 1.0) < 1e-15))
