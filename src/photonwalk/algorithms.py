@@ -107,7 +107,6 @@ class BooleanFn:
                     raise ValueError
             except ValueError:
                 raise ValueError("truth table entries must be 0 or 1") from None
-            self.__dict__["_mask"] = np.frombuffer(raw, dtype=bool)
         else:
             # Check the raw entries before int(), so 0.5 or "1" is not coerced.
             try:
@@ -117,16 +116,14 @@ class BooleanFn:
             if not bits:
                 raise ValueError("truth table entries must be 0 or 1")
             table = tuple(map(int, table))
+            raw = bytes(table)
         # Compare bit lengths first, so a huge n never builds 2**n.
         if len(table).bit_length() != self.n + 1 or len(table) != 2**self.n:
             want = 2**self.n if self.n < 64 else f"2**{self.n}"
             raise ValueError(f"truth table must have {want} entries, got {len(table)}")
         object.__setattr__(self, "table", table)
-
-    @functools.cached_property  # per instance, never keyed by table content
-    def _mask(self) -> np.ndarray:
-        """Read-only bool array of the table: True at each x with f(x) = 1."""
-        return np.frombuffer(bytes(self.table), dtype=bool)
+        # Read-only, True at each x with f(x) = 1; not a field, so outside eq, hash and repr.
+        self.__dict__["_mask"] = np.frombuffer(raw, dtype=bool)
 
     @classmethod
     def _from_bits(cls, n: int, bits: np.ndarray) -> BooleanFn:

@@ -163,16 +163,23 @@ def cmd_bv(args) -> int:
 
 # --- verification suites ------------------------------------------------
 
+def _check(ok, message: str = "") -> None:
+    """Fail the running suite with ``message``; unlike ``assert``, kept under ``python -O``."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def _suite_coin_unitarity(perturb):
     # One draw of all rows gives the same stream as 1000 draws of size 4.
     angles = np.random.default_rng(20240917).uniform(-2 * np.pi, 2 * np.pi, size=(1000, 4))
     coins = wc.build_coins(angles)  # names the first row that is not unitary
     det_devs = np.abs(np.linalg.det(coins) - np.exp(2j * angles[:, 0]))
     bad = np.flatnonzero(~(det_devs <= wc.MATCH_TOL))  # NaN fails
-    assert not bad.size, (
-        f"coin {bad[0]}: determinant deviation from e^{{2ip}} {det_devs[bad[0]]:.3e} "
-        f"(tolerance {wc.MATCH_TOL:.0e})"
-    )
+    if bad.size:
+        raise AssertionError(
+            f"coin {bad[0]}: determinant deviation from e^{{2ip}} {det_devs[bad[0]]:.3e} "
+            f"(tolerance {wc.MATCH_TOL:.0e})"
+        )
 
 
 def _suite_shift_structure(perturb):
@@ -180,9 +187,9 @@ def _suite_shift_structure(perturb):
     shifts = [wc.s_plus(0), wc.s_plus(1), wc.s_minus(0), wc.s_minus(1)]
     for topo in topos:  # axis 0 is the shift, so axis 1 sums columns and axis 2 rows
         mags = np.abs([wc.program_operator([wc.WalkStep(shift=s)], topo) for s in shifts])
-        assert np.all(np.isclose(mags.sum(axis=1), 1.0)), "not a permutation"
-        assert np.all(np.isclose(mags.sum(axis=2), 1.0)), "not a permutation"
-        assert np.all((mags < wc.EXACT_TOL) | (np.abs(mags - 1) < wc.EXACT_TOL))
+        _check(np.all(np.isclose(mags.sum(axis=1), 1.0)), "not a permutation")
+        _check(np.all(np.isclose(mags.sum(axis=2), 1.0)), "not a permutation")
+        _check(np.all((mags < wc.EXACT_TOL) | (np.abs(mags - 1) < wc.EXACT_TOL)))
 
 
 def _suite_norm_preservation(perturb):
@@ -201,11 +208,11 @@ def _suite_norm_preservation(perturb):
         state = wc.WalkState(alg.CYCLE4, amps)
         coin_map = dict(enumerate(coins[4 * i : 4 * i + 4]))
         out = wc.run_program(state, [wc.WalkStep(coin_map, shift, phase)])
-        assert abs(out.norm() - 1.0) <= wc.NORM_TOL, "norm drifted"
+        _check(abs(out.norm() - 1.0) <= wc.NORM_TOL, "norm drifted")
         pos = wc.measure_position(out)
         joint = wc.measure_joint(out)
-        assert abs(pos.sum() - 1.0) <= wc.NORM_TOL
-        assert abs(joint.sum() - 1.0) <= wc.NORM_TOL
+        _check(abs(pos.sum() - 1.0) <= wc.NORM_TOL)
+        _check(abs(joint.sum() - 1.0) <= wc.NORM_TOL)
 
 
 def _suite_hadamard_involution(perturb):
@@ -214,9 +221,10 @@ def _suite_hadamard_involution(perturb):
         for include_coin in (True, False):
             layer = alg.hadamard_layer(scheme, include_coin=include_coin)
             op = wc.program_operator(layer, topo)
-            assert alg.equal_up_to_global_phase(
-                op @ op, np.eye(topo.dim), tol=wc.NORM_TOL
-            ), f"{scheme} layer squared is not identity"
+            _check(
+                alg.equal_up_to_global_phase(op @ op, np.eye(topo.dim), tol=wc.NORM_TOL),
+                f"{scheme} layer squared is not identity",
+            )
 
 
 def _suite_oracle_equiv(perturb):
@@ -225,15 +233,17 @@ def _suite_oracle_equiv(perturb):
             wc.program_operator(alg._dj_oracle(f, alg.WITH_AUX), alg.CYCLE4)
         )
         ref = alg.reference_circuit_oracle(f)
-        assert alg.equal_up_to_global_phase(walk_op, ref, tol=wc.NORM_TOL), (
-            f"with-aux oracle mismatch for {name}"
+        _check(
+            alg.equal_up_to_global_phase(walk_op, ref, tol=wc.NORM_TOL),
+            f"with-aux oracle mismatch for {name}",
         )
         diag_op = wc.program_operator(alg._dj_oracle(f, alg.NO_AUX), alg.LINE2)
         off = diag_op - np.diag(np.diag(diag_op))
-        assert np.max(np.abs(off)) <= wc.MATCH_TOL, f"no-aux oracle not diagonal for {name}"
+        _check(np.max(np.abs(off)) <= wc.MATCH_TOL, f"no-aux oracle not diagonal for {name}")
         want = np.array([(-1.0) ** f.value(x) for x in range(4)])
-        assert alg.equal_up_to_global_phase(np.diag(diag_op), want, tol=wc.NORM_TOL), (
-            f"no-aux oracle diagonal mismatch for {name}"
+        _check(
+            alg.equal_up_to_global_phase(np.diag(diag_op), want, tol=wc.NORM_TOL),
+            f"no-aux oracle diagonal mismatch for {name}",
         )
 
 
@@ -242,8 +252,8 @@ def _suite_dj_determinism(perturb):
         expect = 1.0 if alg.classify_fn(f) is alg.FnClass.CONSTANT else 0.0
         for scheme in alg.SCHEMES:
             p = alg.run_dj(f, scheme).p_all_zero
-            assert abs(p - expect) <= wc.NORM_TOL, f"{name}/{scheme}: p={p}"
-            assert abs(p - alg.brute_force_p_all_zero(scheme, f)) <= wc.NORM_TOL
+            _check(abs(p - expect) <= wc.NORM_TOL, f"{name}/{scheme}: p={p}")
+            _check(abs(p - alg.brute_force_p_all_zero(scheme, f)) <= wc.NORM_TOL)
     rng = np.random.default_rng(99)
     for n in range(3, 7):
         for _ in range(10):
@@ -251,18 +261,18 @@ def _suite_dj_determinism(perturb):
             rng.shuffle(table)
             f = alg.BooleanFn(n, tuple(table))
             for scheme in alg.SCHEMES:
-                assert alg.brute_force_p_all_zero(scheme, f) <= wc.MATCH_TOL
+                _check(alg.brute_force_p_all_zero(scheme, f) <= wc.MATCH_TOL)
 
 
 def _suite_bv_exactness(perturb):
     for s, dj_name in alg.BV_STRINGS:
         f = alg.hidden_string_fn(s)
         dj_f = dict(alg.two_bit_catalogue())[dj_name]
-        assert f.table == dj_f.table, f"string {s} maps to wrong function"
+        _check(f.table == dj_f.table, f"string {s} maps to wrong function")
         for scheme in alg.SCHEMES:
             out = alg.run_bv(s, scheme)
-            assert out.recovered == s, f"recovered {out.recovered} for {s}"
-            assert abs(out.probability - 1.0) <= wc.NORM_TOL
+            _check(out.recovered == s, f"recovered {out.recovered} for {s}")
+            _check(abs(out.probability - 1.0) <= wc.NORM_TOL)
 
 
 def _perturbed(circuit: ph.PhotonicCircuit, perturb) -> ph.PhotonicCircuit:
@@ -286,22 +296,26 @@ def _suite_photonic_fidelity(perturb):
         (0.0, alg.COIN_PHASE_FLIP_1),
         (np.pi / 2, alg.COIN_PHASE_FLIP_0),
     ]:
-        assert np.max(np.abs(ph.hwp_jones(angle) - target)) <= wc.MATCH_TOL
+        _check(np.max(np.abs(ph.hwp_jones(angle) - target)) <= wc.MATCH_TOL)
     cases = [(name, f) for name, f in alg.two_bit_catalogue()]
     cases += [(f"bv {s}", alg.hidden_string_fn(s)) for s, _ in alg.BV_STRINGS]
     for name, f in cases:
         for scheme in alg.SCHEMES:
             prog = alg.build_dj_program(f, scheme)
             circ = _perturbed(ph.compile(prog, scheme), perturb)
-            assert alg.equal_up_to_global_phase(
-                ph.circuit_operator(circ), alg._dj_operator(f, scheme),
-                tol=wc.FIDELITY_TOL,
-            ), f"photonic/walk mismatch for {name}/{scheme}"
+            _check(
+                alg.equal_up_to_global_phase(
+                    ph.circuit_operator(circ), alg._dj_operator(f, scheme),
+                    tol=wc.FIDELITY_TOL,
+                ),
+                f"photonic/walk mismatch for {name}/{scheme}",
+            )
             start = wc.WalkState.basis(alg.scheme_topology(scheme), 0, 0)
             probs = wc.measure_joint(ph.simulate_photonic(circ, start))
             walk_probs = wc.measure_joint(alg._dj_final_state(f, scheme))
-            assert np.max(np.abs(probs - walk_probs)) <= wc.FIDELITY_TOL, (
-                f"photonic probabilities drifted for {name}/{scheme}"
+            _check(
+                np.max(np.abs(probs - walk_probs)) <= wc.FIDELITY_TOL,
+                f"photonic probabilities drifted for {name}/{scheme}",
             )
 
 
@@ -331,6 +345,8 @@ def _parse_perturb(spec: Optional[str]) -> dict:
         raise CLIError(f"perturb: unknown key {key!r} (use hwp)")
     if not np.isfinite(value):
         raise CLIError(f"perturb: {key} must be a finite number")
+    if not np.isfinite(2 * value):  # hwp_jones doubles every plate angle
+        raise CLIError(f"perturb: |{key}| must be at most {sys.float_info.max / 2:.4g}")
     return {key: value}
 
 

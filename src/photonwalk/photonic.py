@@ -12,6 +12,7 @@ permuters are path relabelings and never count as physical components.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -24,6 +25,7 @@ from .walk_core import (
     NORM_TOL,
     Topology,
     WalkState,
+    WalkStep,
     _is_finite_real,
     _is_int,
     _kernel_matrix,
@@ -89,7 +91,7 @@ Component = Union[HWP, BeamSplitter, PhaseShifter, PBS, ModePermuter]
 
 def hwp_jones(alpha: float) -> np.ndarray:
     """Jones matrix of a half-wave plate at angle alpha: orthogonal, det -1."""
-    c, s = np.cos(2 * alpha), np.sin(2 * alpha)
+    c, s = np.cos(2.0 * alpha), np.sin(2.0 * alpha)  # an int past int64 as a float
     return np.array([[c, s], [s, -c]])
 
 
@@ -99,11 +101,14 @@ def bs_matrix() -> np.ndarray:
 
 
 def _component_modes(comp: Component) -> tuple:
-    """The modes a component uses; a non-component, or an angle or phase that is
-    not a finite int or float, raises ValueError."""
+    """The modes a component uses; a non-component, an angle or phase that is not a
+    finite int or float, or an HWP angle whose double overflows, raises ValueError."""
     if isinstance(comp, (HWP, PhaseShifter)):
-        if not _is_finite_real(comp.angle if isinstance(comp, HWP) else comp.phase):
+        value = comp.angle if isinstance(comp, HWP) else comp.phase
+        if not _is_finite_real(value):
             raise ValueError(f"{comp!r}: angle or phase is not a finite int or float")
+        if isinstance(comp, HWP) and not _is_finite_real(2.0 * value):  # hwp_jones doubles it
+            raise ValueError(f"{comp!r}: twice the angle is not a finite float")
         return (comp.mode,)
     if isinstance(comp, (BeamSplitter, PBS)):
         return (comp.mode_a, comp.mode_b)
@@ -304,26 +309,18 @@ def compile(program: Sequence, scheme: str, algorithm: str = "dj") -> PhotonicCi
         raise ValueError(f"unknown algorithm: {algorithm!r}")
     topo = alg.scheme_topology(scheme)
     n_modes = topo.size
+    steps = tuple(program)
+    for step in steps:
+        if not isinstance(step, WalkStep):
+            raise ValueError(f"program entry {step!r} is not a WalkStep")
     stages: list = []
-    steps = list(program)
-    i = 0
-    while i < len(steps):
-        step = steps[i]
-        if step.tag == alg.TAG_POSITION_HADAMARD:
-            j = i
-            while j < len(steps) and steps[j].tag == alg.TAG_POSITION_HADAMARD:
-                j += 1
-            if not _block_matches(topo, tuple(steps[i:j])):
-                raise CompileError(
-                    "position-Hadamard block does not match its walk segment"
-                )
+    for tag, run in itertools.groupby(steps, lambda step: step.tag):
+        if tag == alg.TAG_POSITION_HADAMARD:
+            if not _block_matches(topo, tuple(run)):
+                raise CompileError("position-Hadamard block does not match its walk segment")
             stages.extend(_POSITION_HADAMARD_STAGES[n_modes])
-            i = j
-            continue
-        stage = _lower_step(step)
-        if stage:
-            stages.append(stage)
-        i += 1
+        else:
+            stages.extend(stage for stage in map(_lower_step, run) if stage)
     return PhotonicCircuit(n_modes, tuple(stages), _readout_metadata(scheme, algorithm))
 
 
@@ -357,6 +354,8 @@ def resource_report(functions: Sequence, algorithm: str = "dj") -> list:
     """
     rows = []
     for name, f in functions:
+        if not isinstance(f, alg.BooleanFn):
+            raise ValueError(f"function {name!r}: {f!r} is not a BooleanFn")
         for scheme in alg.SCHEMES:
             circuit = compile(alg.build_dj_program(f, scheme), scheme, algorithm)
             c = count_components(circuit)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -77,8 +78,9 @@ def _is_int(x) -> bool:
 
 
 def _is_finite_real(x) -> bool:
-    """An int or a finite float64; a float32 angle gives a stage unitary only to ~1e-8."""
-    return (_is_int(x) or isinstance(x, float)) and abs(x) < math.inf
+    """An int or float with a finite float64 value (not 10**400); a float32 angle gives a
+    stage unitary only to ~1e-8."""
+    return (_is_int(x) or isinstance(x, float)) and -sys.float_info.max <= x <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -140,6 +142,9 @@ class WalkStep:
     _nonunitary: Optional[tuple] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not _is_finite_real(self.global_phase):
+            phase = self.global_phase
+            raise ValueError(f"global phase must be a finite int or float, got {phase!r}")
         coins = {pos: np.array(coin) for pos, coin in self.coin_map.items()}
         for c in coins.values():
             c.setflags(write=False)
@@ -171,8 +176,9 @@ class WalkStep:
 class WalkState:
     """Amplitude vector over coin x position, coin-major flat index.
 
-    The constructor checks only the length (``2 * size``) and stores a
-    read-only complex copy; it does not check or fix the norm.
+    The constructor checks the length (``2 * size``) and that every amplitude
+    is finite, and stores a read-only complex copy; it does not check or fix
+    the norm.
     """
 
     topology: Topology
@@ -184,6 +190,8 @@ class WalkState:
             raise DimensionMismatch(
                 f"expected {self.topology.dim} amplitudes, got {amps.shape}"
             )
+        if not all(np.isfinite(amps).tolist()):  # a third of ndarray.all's cost at this size
+            raise ValueError("amplitudes must be finite")
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -222,29 +230,15 @@ def _unitary_deviation(m: np.ndarray) -> float:
             abs(abs(a) ** 2 + abs(c) ** 2 - 1),
             abs(abs(b) ** 2 + abs(d) ** 2 - 1),
         )
-    return float(np.abs(m.conj().T.dot(m) - _identity(m.shape[0])).max())
-
-
-@functools.lru_cache(maxsize=16)
-def _identity(n: int) -> np.ndarray:
-    """Read-only ``np.eye(n)``."""
-    m = np.eye(n)
-    m.setflags(write=False)
-    return m
+    d = m.conj().T.dot(m)
+    d.reshape(-1)[:: len(d) + 1] -= 1  # the diagonal alone: z - 0 is exact anyway
+    return float(np.abs(d).max())
 
 
 def _check_unitary(m: np.ndarray) -> None:
     dev = _unitary_deviation(m)
     if not dev <= MATCH_TOL:  # NaN fails
         raise WalkError(f"operator is not unitary (max deviation {dev:.3e})")
-
-
-@functools.lru_cache(maxsize=64)
-def _roll_index(size: int, direction: int) -> np.ndarray:
-    """Read-only gather index of ``np.roll`` by ``direction`` over ``size`` sites."""
-    index = (np.arange(size) - direction) % size
-    index.setflags(write=False)
-    return index
 
 
 def evolve(amps: np.ndarray, step: WalkStep) -> None:
@@ -273,7 +267,7 @@ def evolve(amps: np.ndarray, step: WalkStep) -> None:
         if size < 2:
             raise ValueError("shift requires at least two positions")
         row = amps[step.shift.coin]
-        row[...] = row[_roll_index(size, step.shift.direction)]
+        row[...] = row[(np.arange(size) - step.shift.direction) % size]  # np.roll's gather
     if step.global_phase != 0.0:
         amps *= np.exp(1j * step.global_phase)
 

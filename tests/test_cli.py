@@ -1,5 +1,9 @@
+import ast
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -239,6 +243,20 @@ class TestVerify:
         assert out == ""
         assert err == "error: perturb: hwp must be a finite number\n"
 
+    @pytest.mark.parametrize("value", ["1e308", "-9e307", "1.7976931348623157e308"])
+    def test_a_perturbation_whose_double_overflows_exit_1(self, capsys, value):
+        code, out, err = run(capsys, "verify", "--perturb", f"hwp={value}")
+        assert code == 1
+        assert out == ""
+        assert err == "error: perturb: |hwp| must be at most 8.988e+307\n"
+
+    @pytest.mark.parametrize("value", ["8.98e307", "-1e300"])
+    def test_a_huge_finite_perturbation_fails_the_fidelity_suite(self, capsys, value):
+        argv = ("verify", "--suite", "photonic-fidelity", "--perturb", f"hwp={value}")
+        code, out, _ = run(capsys, *argv)
+        assert code == 3
+        assert out == "photonic-fidelity: FAIL -- photonic/walk mismatch for i/with-aux\n"
+
     @pytest.mark.parametrize("suite", ["coin-unitarity", "bv-exactness"])
     def test_perturb_without_the_fidelity_suite_exit_1(self, capsys, suite):
         code, out, err = run(capsys, "verify", "--suite", suite, "--perturb", "hwp=0.5")
@@ -339,3 +357,41 @@ class TestOutputFile:
     def test_writes_to_a_device(self, capsys):
         code, _, _ = run(capsys, "dj", "--function", "i", "--output", os.devnull)
         assert code == 0
+
+
+# --- checks that python -O keeps
+
+
+def test_the_package_has_no_assert_statement():
+    """``python -O`` strips ``assert``, so no check in the package may be one."""
+    package = Path(cli.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "argv,code,out",
+    [
+        (
+            ("--suite", "photonic-fidelity", "--perturb", "hwp=0.01"),
+            3,
+            "photonic-fidelity: FAIL -- photonic/walk mismatch for i/with-aux\n",
+        ),
+        ((), 0, "".join(f"{name}: pass\n" for name, _ in cli.ALL_SUITES)),
+    ],
+    ids=["perturbed", "full"],
+)
+def test_verify_keeps_its_checks_under_python_dash_o(argv, code, out):
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-W", "error", "-m", "photonwalk.cli", "verify", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (code, out), proc.stderr

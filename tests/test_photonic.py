@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -285,6 +286,20 @@ class TestResourceReport:
         assert str(info.value) == want
 
 
+    @pytest.mark.parametrize("program", [[1], [wc.WalkStep(), "step"], [None]])
+    def test_compile_rejects_a_program_entry_that_is_not_a_step(self, program):
+        bad = next(entry for entry in program if not isinstance(entry, wc.WalkStep))
+        with pytest.raises(ValueError) as info:
+            ph.compile(program, alg.WITH_AUX)
+        assert str(info.value) == f"program entry {bad!r} is not a WalkStep"
+
+    @pytest.mark.parametrize("f", [3, None, (0, 1, 1, 0)])
+    def test_resource_report_rejects_a_function_that_is_not_a_boolean_fn(self, f):
+        with pytest.raises(ValueError) as info:
+            ph.resource_report([("a", f)])
+        assert str(info.value) == f"function 'a': {f!r} is not a BooleanFn"
+
+
 class TestCircuitJSON:
     def test_shape(self):
         f = dict(alg.two_bit_catalogue())["vii"]
@@ -340,11 +355,14 @@ def test_a_stage_that_is_not_a_tuple_of_components_is_rejected(stages, message):
     assert str(info.value) == message
 
 
-BAD_ANGLES = [np.nan, np.inf, -np.inf, np.float64("nan"), "x", None, True, 0.5j, np.float32(0.25)]
+BAD_ANGLES = [np.nan, np.inf, -np.inf, np.float64("nan"), "x", None, True, 0.5j, np.float32(0.25),
+              10**400, -(10**400)]
+
+BAD_IDS = [repr(a) for a in BAD_ANGLES[:-2]] + ["10**400", "-10**400"]
 
 
 @pytest.mark.parametrize("make", [ph.HWP, ph.PhaseShifter], ids=["hwp", "phase"])
-@pytest.mark.parametrize("angle", BAD_ANGLES, ids=[repr(a) for a in BAD_ANGLES])
+@pytest.mark.parametrize("angle", BAD_ANGLES, ids=BAD_IDS)
 def test_an_angle_or_phase_that_is_not_a_finite_int_or_float_is_rejected(make, angle):
     comp = make(angle, 1)
     with pytest.raises(ValueError) as info:
@@ -352,8 +370,22 @@ def test_an_angle_or_phase_that_is_not_a_finite_int_or_float_is_rejected(make, a
     assert str(info.value) == f"{comp!r}: angle or phase is not a finite int or float"
 
 
+@pytest.mark.parametrize(
+    "angle",
+    [1e308, -1e308, sys.float_info.max, 9 * 10**307],
+    ids=["1e308", "-1e308", "max", "9*10**307"],
+)
+def test_an_hwp_angle_whose_double_overflows_is_rejected(angle):
+    comp = ph.HWP(angle, 0)
+    with pytest.raises(ValueError) as info:
+        ph.PhotonicCircuit(2, [(comp,)])
+    assert str(info.value) == f"{comp!r}: twice the angle is not a finite float"
+    ph.PhotonicCircuit(2, [(ph.PhaseShifter(angle, 0),)])  # a phase is not doubled
+
+
 def test_finite_real_angles_and_phases_are_accepted():
-    angles = [0, np.int64(1), 0.3, np.float64(-7.5), 1e6]
+    big = [10**300, np.int64(2**62), sys.float_info.max / 2, -sys.float_info.max / 2]
+    angles = [0, np.int64(1), 0.3, np.float64(-7.5), 1e6, *big]
     stages = [(ph.HWP(a, 0), ph.PhaseShifter(a, 1)) for a in angles]
     circuit = ph.PhotonicCircuit(2, stages)
     m = ph.circuit_operator(circuit)

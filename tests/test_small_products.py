@@ -169,7 +169,7 @@ def test_unitary_deviation_equals_the_old_formula():
     for n in (3, 4, 8, 10):
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         q, _ = np.linalg.qr(m)
-        for a in (m, q):
+        for a in (m, q, np.eye(n, dtype=complex), -1j * np.eye(n)):
             want = float(np.max(np.abs(a.conj().T @ a - np.eye(n))))
             assert wc._unitary_deviation(a) == want
     nan = np.eye(4, dtype=complex)
@@ -178,16 +178,6 @@ def test_unitary_deviation_equals_the_old_formula():
 
 
 # --- the new memos
-
-
-def test_identity_memo_is_bounded_read_only_and_shared():
-    assert wc._identity.cache_info().maxsize is not None
-    eye = wc._identity(8)
-    assert eye is wc._identity(8)
-    assert not eye.flags.writeable
-    assert np.array_equal(eye, np.eye(8)) and eye.dtype == np.eye(8).dtype
-    with pytest.raises(ValueError):
-        eye[0, 0] = 2.0
 
 
 @pytest.mark.parametrize("n_modes", [2, 4])

@@ -46,8 +46,11 @@ def test_shift_accepts_numpy_ints():
 
 
 def test_nan_global_phase_raises_on_the_state_path():
+    # WalkStep rejects a NaN phase, so the phase is put past that check.
+    step = WalkStep()
+    object.__setattr__(step, "global_phase", np.nan)
     with pytest.raises(wc.WalkError, match="step 0: step did not preserve the state norm"):
-        wc.run_program(WalkState.basis(CYCLE4, 0, 0), [WalkStep(global_phase=np.nan)])
+        wc.run_program(WalkState.basis(CYCLE4, 0, 0), [step])
 
 
 def test_nan_coin_raises_on_both_paths():
@@ -224,6 +227,33 @@ def test_a_numpy_int_size_is_stored_as_an_int_and_its_state_json_round_trips(siz
     blob = wc.state_to_json(WalkState.basis(topo, 1, 0))
     want = wc.state_to_json(WalkState.basis(wc.Topology(wc.OPEN_LINE, int(size)), 1, 0))
     assert json.loads(json.dumps(blob, allow_nan=False)) == want
+
+
+BAD_PHASES = ["a", None, True, 0.5j, np.float32(0.25), np.nan, np.inf, -np.inf, 10**400]
+
+
+@pytest.mark.parametrize("phase", BAD_PHASES, ids=[repr(p) for p in BAD_PHASES[:-1]] + ["10**400"])
+def test_a_phase_that_is_not_a_finite_int_or_float_is_rejected(phase):
+    with pytest.raises(ValueError) as info:
+        WalkStep({0: alg.COIN_X}, global_phase=phase)
+    assert str(info.value) == f"global phase must be a finite int or float, got {phase!r}"
+
+
+@pytest.mark.parametrize(
+    "phase",
+    [0, np.int64(3), -2.5, np.float64(1e300), 10**300],
+    ids=["0", "int64", "-2.5", "1e300", "10**300"],
+)
+def test_a_finite_phase_is_accepted_and_keeps_the_norm(phase):
+    out = wc.run_program(WalkState.basis(CYCLE4, 0, 1), [WalkStep(global_phase=phase)])
+    assert abs(out.norm() - 1.0) <= wc.NORM_TOL
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_a_state_with_an_amplitude_that_is_not_finite_is_rejected(bad):
+    with pytest.raises(ValueError) as info:
+        WalkState(alg.LINE2, [bad, 0, 0, 0])
+    assert str(info.value) == "amplitudes must be finite"
 
 
 def test_scheme_topology_rejects_an_unknown_scheme():

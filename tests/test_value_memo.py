@@ -1,7 +1,7 @@
 """Values derived from a step, a scheme or a two-bit function are built once per
-process: the oracle steps, the scheme records (Hadamard layers included), the coin
-lowerings and the shift gather index.  Each memo is bounded, hands out nothing a
-caller can change, and keeps no failure."""
+process: the oracle steps, the scheme records (Hadamard layers included) and the coin
+lowerings.  Each memo is bounded, hands out nothing a caller can change, and keeps
+no failure."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ MEMOS = {
     "_dj_oracle": alg._dj_oracle,
     "_scheme": alg._scheme,
     "_lower_step": ph._lower_step,
-    "_roll_index": wc._roll_index,
 }
 TILTED = wc.build_coins([(0.1, 0.2, 0.3, 0.4)])[0]  # near no lowering pattern
 
@@ -120,14 +119,16 @@ def test_a_step_with_no_lowering_raises_every_time_and_is_never_cached(step, mes
     assert ph._lower_step.cache_info().currsize == size
 
 
-@pytest.mark.parametrize("size", range(1, 7))
+@pytest.mark.parametrize("size", range(2, 7))  # a shift needs two sites
 @pytest.mark.parametrize("direction", [1, -1])
-def test_the_gather_index_is_np_roll(size, direction):
-    index = wc._roll_index(size, direction)
-    row = np.arange(size * 3.0).reshape(size, 3)
-    np.testing.assert_array_equal(row[index], np.roll(row, direction, axis=0))
+def test_the_shift_gather_is_np_roll(size, direction):
+    topo = wc.Topology(wc.CLOSED_CYCLE, size)
+    step = wc.WalkStep(shift=wc.Shift(1, direction))
+    eye = np.eye(topo.dim, dtype=complex).reshape(2, size, topo.dim)
+    want = np.concatenate([eye[0], np.roll(eye[1], direction, axis=0)])
+    np.testing.assert_array_equal(wc.program_operator([step], topo), want)
     with pytest.raises(ValueError):
-        index[0] = 0
+        wc._kernel_matrix(wc.evolve, size, step)[0, 0] = 0
 
 
 def test_no_perturbation_leaks_through_a_memo():
@@ -157,7 +158,7 @@ def test_every_lru_cache_in_the_library_is_bounded():
         for name, obj in vars(mod).items()
         if callable(getattr(obj, "cache_parameters", None))
     }
-    assert len(memos) == 8
+    assert len(memos) == 6
     unbounded = [
         name for name, memo in memos.values() if memo.cache_parameters()["maxsize"] is None
     ]
