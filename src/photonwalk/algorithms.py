@@ -371,8 +371,14 @@ def _dj_oracle(f: BooleanFn, scheme: str) -> tuple:
     return _scheme(scheme).oracle(f)
 
 
+def _require_fn(f) -> None:
+    if not isinstance(f, BooleanFn):  # before the oracle memo hashes it
+        raise ValueError(f"function {f!r} is not a BooleanFn")
+
+
 def build_dj_program(f: BooleanFn, scheme: str) -> list:
     """Full walk program for one Deutsch-Jozsa run, as a new list of shared steps."""
+    _require_fn(f)
     record = _scheme(scheme)
     return [*record.prefix, *_dj_oracle(f, scheme), *record.suffix]
 
@@ -414,6 +420,7 @@ def _readout(final: WalkState, scheme: str) -> dict:
 
 
 def run_dj(f: BooleanFn, scheme: str) -> DJOutcome:
+    _require_fn(f)
     if classify_fn(f) is FnClass.NEITHER:
         raise PromiseViolation(
             "function is neither constant nor balanced; the Deutsch-Jozsa "

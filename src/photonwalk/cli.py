@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import random
 import stat
 import sys
 from dataclasses import replace
@@ -169,9 +171,21 @@ def _check(ok, message: str = "") -> None:
         raise AssertionError(message)
 
 
+# The suites draw their seeded inputs from the stdlib generator: ``random`` is loaded
+# anyway, its ``random()`` stream is documented to stay the same per seed across
+# versions, and a cold ``verify`` never imports ``numpy.random`` (about 6 MB).
+def _uniforms(rng: random.Random, *shape: int) -> np.ndarray:
+    """The floats of ``math.prod(shape)`` calls to ``rng.random()``, bit for bit, in one
+    ``getrandbits`` call that leaves ``rng`` in the same state as those calls."""
+    n = math.prod(shape)
+    w = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
+    # random() joins the top 27 bits of one 32-bit word and the top 26 of the next.
+    return (((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6)) / 2**53).reshape(shape)
+
+
 def _suite_coin_unitarity(perturb):
-    # One draw of all rows gives the same stream as 1000 draws of size 4.
-    angles = np.random.default_rng(20240917).uniform(-2 * np.pi, 2 * np.pi, size=(1000, 4))
+    # -2pi + 4pi u has the bits of rng.uniform(-2pi, 2pi), drawn row by row.
+    angles = -2 * np.pi + 4 * np.pi * _uniforms(random.Random(20240917), 1000, 4)
     coins = wc.build_coins(angles)  # names the first row that is not unitary
     det_devs = np.abs(np.linalg.det(coins) - np.exp(2j * angles[:, 0]))
     bad = np.flatnonzero(~(det_devs <= wc.MATCH_TOL))  # NaN fails
@@ -193,21 +207,18 @@ def _suite_shift_structure(perturb):
 
 
 def _suite_norm_preservation(perturb):
-    rng = np.random.default_rng(7)
-    cases, raw = [], []
-    shifts = [None, wc.s_plus(0), wc.s_minus(1)]
-    for _ in range(50):  # each case draws its state, four coins, shift and phase
-        draw = rng.normal(size=48)  # sequential: state 8 + 8, then 4 coins of 4 + 4
-        amps = draw[:8] + 1j * draw[8:16]
-        raw.append(draw[16:])
-        shift = shifts[int(rng.integers(3))]
-        cases.append((amps / np.linalg.norm(amps), shift, rng.uniform(0, np.pi)))
-    parts = np.reshape(raw, (200, 2, 4))  # per coin: 4 real parts, then 4 imaginary
+    # One row per case, drawn in order: state 8 + 8, then 4 coins of 4 + 4 on [-1, 1)
+    # (the bits of rng.uniform(-1, 1)), then the shift and the phase.
+    draws = _uniforms(random.Random(7), 50, 50)
+    raw = -1 + 2 * draws[:, :48]
+    amps = raw[:, :8] + 1j * raw[:, 8:16]
+    parts = raw[:, 16:].reshape(200, 2, 4)  # per coin: 4 real parts, then 4 imaginary
     coins, _ = np.linalg.qr((parts[:, 0] + 1j * parts[:, 1]).reshape(200, 2, 2))
-    for i, (amps, shift, phase) in enumerate(cases):
-        state = wc.WalkState(alg.CYCLE4, amps)
+    shifts = [None, wc.s_plus(0), wc.s_minus(1)]
+    for i, (a, u, p) in enumerate(zip(amps, draws[:, 48].tolist(), draws[:, 49].tolist())):
+        state = wc.WalkState(alg.CYCLE4, a / np.linalg.norm(a))
         coin_map = dict(enumerate(coins[4 * i : 4 * i + 4]))
-        out = wc.run_program(state, [wc.WalkStep(coin_map, shift, phase)])
+        out = wc.run_program(state, [wc.WalkStep(coin_map, shifts[int(3 * u)], np.pi * p)])
         _check(abs(out.norm() - 1.0) <= wc.NORM_TOL, "norm drifted")
         pos = wc.measure_position(out)
         joint = wc.measure_joint(out)
@@ -254,12 +265,11 @@ def _suite_dj_determinism(perturb):
             p = alg.run_dj(f, scheme).p_all_zero
             _check(abs(p - expect) <= wc.NORM_TOL, f"{name}/{scheme}: p={p}")
             _check(abs(p - alg.brute_force_p_all_zero(scheme, f)) <= wc.NORM_TOL)
-    rng = np.random.default_rng(99)
+    rng = random.Random(99)
     for n in range(3, 7):
-        for _ in range(10):
-            table = [0] * (2 ** (n - 1)) + [1] * (2 ** (n - 1))
-            rng.shuffle(table)
-            f = alg.BooleanFn(n, tuple(table))
+        # Ten balanced tables: each row's rank order is a uniform permutation.
+        for table in (np.argsort(_uniforms(rng, 10, 2**n), axis=1) < 2 ** (n - 1)).tolist():
+            f = alg.BooleanFn(n, table)
             for scheme in alg.SCHEMES:
                 _check(alg.brute_force_p_all_zero(scheme, f) <= wc.MATCH_TOL)
 

@@ -24,12 +24,14 @@ from .walk_core import (
     MATCH_TOL,
     NORM_TOL,
     Topology,
+    WalkError,
     WalkState,
     WalkStep,
     _is_finite_real,
     _is_int,
     _kernel_matrix,
     _norm,
+    _tuple_of,
     program_operator,
 )
 
@@ -83,7 +85,7 @@ class ModePermuter:
 
     def __post_init__(self) -> None:
         # A tuple keeps the component hashable, so its stage can be memoised.
-        object.__setattr__(self, "permutation", tuple(self.permutation))
+        object.__setattr__(self, "permutation", _tuple_of(self.permutation, "mode permutation"))
 
 
 Component = Union[HWP, BeamSplitter, PhaseShifter, PBS, ModePermuter]
@@ -133,7 +135,9 @@ class PhotonicCircuit:
         if not (_is_int(self.n_modes) and self.n_modes >= 1):  # the rule of Topology.size
             raise ValueError(f"mode count must be a positive int, got {self.n_modes!r}")
         object.__setattr__(self, "n_modes", int(self.n_modes))  # np.int64 -> int, for JSON
-        stages = tuple(self.stages)
+        if not (self.readout is None or isinstance(self.readout, dict)):
+            raise ValueError(f"readout must be None or a dict, got {type(self.readout).__name__}")
+        stages = _tuple_of(self.stages, "stages")
         for stage in stages:
             if not isinstance(stage, (tuple, list)):
                 raise ValueError(f"stage {stage!r} is not a tuple of components")
@@ -309,7 +313,7 @@ def compile(program: Sequence, scheme: str, algorithm: str = "dj") -> PhotonicCi
         raise ValueError(f"unknown algorithm: {algorithm!r}")
     topo = alg.scheme_topology(scheme)
     n_modes = topo.size
-    steps = tuple(program)
+    steps = _tuple_of(program, "program")
     for step in steps:
         if not isinstance(step, WalkStep):
             raise ValueError(f"program entry {step!r} is not a WalkStep")
@@ -320,6 +324,10 @@ def compile(program: Sequence, scheme: str, algorithm: str = "dj") -> PhotonicCi
                 raise CompileError("position-Hadamard block does not match its walk segment")
             stages.extend(_POSITION_HADAMARD_STAGES[n_modes])
         else:
+            run = tuple(run)
+            bad = [l for step in run for l in step.coin_map if not _is_int(l)]
+            if bad:  # before _lower_step sorts them; evolve's error
+                raise WalkError(f"coin position {bad[0]!r} is not an int")
             stages.extend(stage for stage in map(_lower_step, run) if stage)
     return PhotonicCircuit(n_modes, tuple(stages), _readout_metadata(scheme, algorithm))
 
@@ -353,7 +361,10 @@ def resource_report(functions: Sequence, algorithm: str = "dj") -> list:
     function order x scheme order.
     """
     rows = []
-    for name, f in functions:
+    for entry in _tuple_of(functions, "functions"):
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2 and isinstance(entry[0], str)):
+            raise ValueError(f"function entry {entry!r} is not a (name, BooleanFn) pair")
+        name, f = entry
         if not isinstance(f, alg.BooleanFn):
             raise ValueError(f"function {name!r}: {f!r} is not a BooleanFn")
         for scheme in alg.SCHEMES:

@@ -11,9 +11,10 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -83,6 +84,14 @@ def _is_finite_real(x) -> bool:
     return (_is_int(x) or isinstance(x, float)) and -sys.float_info.max <= x <= sys.float_info.max
 
 
+def _tuple_of(items, what: str) -> tuple:
+    """``tuple(items)``, or a one-line ValueError naming ``what`` if it is not iterable."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise ValueError(f"{what} must be iterable, got {type(items).__name__}") from None
+
+
 @dataclass(frozen=True)
 class Shift:
     """Coin-conditioned position move: direction +1 (right) or -1 (left)."""
@@ -96,6 +105,8 @@ class Shift:
             raise ValueError("shift coin label must be 0 or 1")
         if not (_is_int(self.direction) and self.direction in (-1, 1)):
             raise ValueError("shift direction must be +1 or -1")
+        object.__setattr__(self, "coin", int(self.coin))  # np.int64 -> int, as Topology.size
+        object.__setattr__(self, "direction", int(self.direction))
 
 
 def s_plus(b: int) -> Shift:
@@ -142,6 +153,13 @@ class WalkStep:
     _nonunitary: Optional[tuple] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        # Type names, not reprs: an array's repr spans lines.
+        if not isinstance(self.coin_map, Mapping):
+            raise ValueError(f"coin map must be a mapping, got {type(self.coin_map).__name__}")
+        if not (self.shift is None or isinstance(self.shift, Shift)):
+            raise ValueError(f"shift must be None or a Shift, got {type(self.shift).__name__}")
+        if not (self.tag is None or isinstance(self.tag, str)):
+            raise ValueError(f"tag must be None or a str, got {type(self.tag).__name__}")
         if not _is_finite_real(self.global_phase):
             phase = self.global_phase
             raise ValueError(f"global phase must be a finite int or float, got {phase!r}")
@@ -185,7 +203,12 @@ class WalkState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        if not isinstance(self.topology, Topology):
+            raise ValueError(f"topology must be a Topology, got {type(self.topology).__name__}")
+        try:
+            amps = np.asarray(self.amplitudes, dtype=complex)
+        except (TypeError, ValueError, OverflowError):  # a dict, "x", 10**400
+            raise ValueError("amplitudes must be complex numbers") from None
         if amps.shape != (self.topology.dim,):
             raise DimensionMismatch(
                 f"expected {self.topology.dim} amplitudes, got {amps.shape}"

@@ -1,5 +1,8 @@
 """The batched verify suites check exactly what the per-case loops checked."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -8,17 +11,22 @@ from photonwalk import walk_core as wc
 
 
 def per_case_norm_draws():
-    """The norm suite's cases as the per-case loop drew them: one QR per coin."""
-    rng = np.random.default_rng(7)
+    """The norm suite's cases as a per-case loop draws them: one value per ``random()``
+    call, one QR per coin."""
+    rng = random.Random(7)
+
+    def uniform(*shape):  # rng.uniform(-1, 1) per entry, in row-major order
+        return np.array([rng.uniform(-1, 1) for _ in range(math.prod(shape))]).reshape(shape)
+
     cases = []
     for _ in range(50):
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        amps = uniform(8) + 1j * uniform(8)
         amps /= np.linalg.norm(amps)
         coin_map = {}
         for l in range(4):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            a = uniform(2, 2) + 1j * uniform(2, 2)
             coin_map[l], _ = np.linalg.qr(a)
-        shift = [None, wc.s_plus(0), wc.s_minus(1)][int(rng.integers(3))]
+        shift = [None, wc.s_plus(0), wc.s_minus(1)][int(3 * rng.random())]
         cases.append((amps, wc.WalkStep(coin_map, shift, rng.uniform(0, np.pi))))
     return cases
 

@@ -96,7 +96,8 @@ def test_an_int_position_and_an_equal_non_int_are_lowered_apart(key):
     odd = ph._lower_step(wc.WalkStep({key: alg.COIN_X}))
     assert ph._lower_step.cache_info().misses == misses + 1
     assert type(good[0].mode) is int and type(odd[0].mode) is type(key)
-    with pytest.raises(ValueError, match="is not an int"):
+    # compile rejects the position before lowering, with program_operator's error.
+    with pytest.raises(wc.WalkError, match=f"^coin position {key!r} is not an int$"):
         ph.compile([wc.WalkStep({key: alg.COIN_X})], alg.WITH_AUX)
 
 

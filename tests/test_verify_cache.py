@@ -1,6 +1,7 @@
 """The verify gate's per-process caches: compile's position-Hadamard check, the
 fixed DJ operators of the photonic-fidelity suite, and the batched coin suite."""
 
+import random
 import re
 
 import numpy as np
@@ -143,8 +144,8 @@ def test_verify_then_fault_injection_in_one_process(capsys):
 
 
 def test_coin_suite_draws_the_per_call_rows(monkeypatch):
-    rng = np.random.default_rng(20240917)
-    want = [tuple(rng.uniform(-2 * np.pi, 2 * np.pi, size=4)) for _ in range(1000)]
+    rng = random.Random(20240917)
+    want = [tuple(rng.uniform(-2 * np.pi, 2 * np.pi) for _ in range(4)) for _ in range(1000)]
     seen = []
     build_coins = wc.build_coins
 
