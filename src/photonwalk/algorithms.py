@@ -33,6 +33,7 @@ from .walk_core import (
     WalkError,
     WalkState,
     WalkStep,
+    _is_int,
     _norm,
     measure_joint,
     measure_position,  # unused here; perfbench's fault injection patches it with measure_joint
@@ -135,7 +136,7 @@ class BooleanFn:
         return f
 
     def value(self, x: int) -> int:
-        if not 0 <= x < len(self.table):  # a negative x would index from the end
+        if not (_is_int(x) and 0 <= x < len(self.table)):  # -1 would index from the end
             raise ValueError(f"x must be in [0, 2**{self.n}), got {x!r}")
         return self.table[x]
 

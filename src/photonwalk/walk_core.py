@@ -138,10 +138,9 @@ class WalkStep:
     ``coin_map`` assigns a 2x2 unitary to position indices; missing positions
     default to identity.  ``tag`` is a structural label consumed by the
     photonic compiler (e.g. marking a position-Hadamard block).  A step is a
-    value: it holds read-only copies of the coins and compares by content,
-    positions with their type (``{2: X}`` and ``{2.0: X}`` differ).  The
-    unitarity of each numeric 2x2 coin is measured here, once; ``evolve``
-    rejects a bad step when it runs, whether or not its sites hold amplitude.
+    value: it holds read-only copies of the coins and compares by content.
+    Each coin is checked here, once: its position must be an int (a numpy int
+    is stored as ``int``), and the coin a numeric 2x2 unitary, else WalkError.
     """
 
     coin_map: Mapping[int, np.ndarray] = field(default_factory=dict)
@@ -150,7 +149,6 @@ class WalkStep:
     tag: Optional[str] = None
     _key: tuple = field(init=False, repr=False)
     _hash: int = field(init=False, repr=False)
-    _nonunitary: Optional[tuple] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # Type names, not reprs: an array's repr spans lines.
@@ -163,25 +161,25 @@ class WalkStep:
         if not _is_finite_real(self.global_phase):
             phase = self.global_phase
             raise ValueError(f"global phase must be a finite int or float, got {phase!r}")
-        coins = {pos: np.array(coin) for pos, coin in self.coin_map.items()}
-        for c in coins.values():
+        coins = {}
+        for l, coin in self.coin_map.items():
+            if not _is_int(l):  # True and 2.0 would hash like 1 and 2
+                raise WalkError(f"coin position {l!r} is not an int")
+            c = np.array(coin)
+            if c.shape != (2, 2):
+                raise WalkError(f"coin at position {l} has shape {c.shape}, not (2, 2)")
+            if c.dtype.kind not in "biufc":  # strings, None, object arrays
+                raise WalkError(f"coin at position {l} is not numeric")
+            dev = _unitary_deviation(c)
+            if not dev <= MATCH_TOL:  # NaN fails
+                raise WalkError(f"coin at position {l} is not unitary (max deviation {dev:.3e})")
             c.setflags(write=False)
+            coins[int(l)] = c  # np.int64 -> int, as Shift
         object.__setattr__(self, "coin_map", MappingProxyType(coins))
         # Coins compare by bytes, so equal blocks built apart compare fast.
-        content = tuple(
-            (type(l), l, c.dtype.str, c.shape, c.tobytes()) for l, c in coins.items()
-        )
+        content = tuple((l, c.dtype.str, c.tobytes()) for l, c in coins.items())
         object.__setattr__(self, "_key", (self.tag, self.shift, self.global_phase, content))
         object.__setattr__(self, "_hash", hash(self._key))  # once, not per memo lookup
-        # (position, deviation) of the first coin that is not unitary, if any.
-        nonunitary = None
-        for l, c in coins.items():
-            if c.shape == (2, 2) and c.dtype.kind in "biufc":
-                dev = _unitary_deviation(c)
-                if not dev <= MATCH_TOL:  # NaN fails
-                    nonunitary = (l, dev)
-                    break
-        object.__setattr__(self, "_nonunitary", nonunitary)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WalkStep) and self._key == other._key
@@ -268,22 +266,14 @@ def evolve(amps: np.ndarray, step: WalkStep) -> None:
     """Apply one step in place to ``amps``, a (2, size, ...) coin x position view.
 
     The state path passes one vector; the operator path passes the identity
-    columns, shape (2, size, 2 * size).  A coin position that is not an int
-    (``bool`` included) or lies outside ``[0, size)``, or a coin that is not
-    2x2 or not unitary, raises WalkError; no boundary or norm check is made.
+    columns, shape (2, size, 2 * size).  ``WalkStep`` has checked its coins; a
+    coin position outside ``[0, size)`` raises WalkError here, and no boundary
+    or norm check is made.
     """
     size = amps.shape[1]
-    bad = [l for l in step.coin_map if not (_is_int(l) and 0 <= l < size)]
+    bad = [l for l in step.coin_map if not 0 <= l < size]
     if bad:
-        if not _is_int(bad[0]):
-            raise WalkError(f"coin position {bad[0]!r} is not an int")
         raise WalkError(f"coin position {bad[0]} outside a topology of size {size}")
-    for l, c in step.coin_map.items():
-        if c.shape != (2, 2):
-            raise WalkError(f"coin at position {l} has shape {c.shape}, not (2, 2)")
-    if step._nonunitary is not None:
-        l, dev = step._nonunitary
-        raise WalkError(f"coin at position {l} is not unitary (max deviation {dev:.3e})")
     for l, c in step.coin_map.items():
         amps[:, l] = c.dot(amps[:, l])
     if step.shift is not None:

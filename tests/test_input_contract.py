@@ -83,7 +83,7 @@ SCHEMES = either(alg.SCHEMES)
 STEPS = [
     *alg.build_dj_program(FUNCTIONS[6], alg.WITH_AUX),
     wc.WalkStep(shift=wc.s_plus(0)),
-    wc.WalkStep({0: 2 * alg.COIN_X}),
+    wc.WalkStep({0: wc.build_coins([(0.1, 0.2, 0.3, 0.4)])[0]}),  # unitary, no lowering
     wc.WalkStep({9: alg.COIN_X}),
 ]
 TOPOLOGIES = [alg.CYCLE4, alg.LINE2, wc.Topology(wc.OPEN_LINE, 5)]
@@ -107,10 +107,15 @@ def run_function(f, scheme):
         st.lists(either([0, 1]), max_size=8),
     ),
     scheme=SCHEMES,
+    x=SCALARS,
 )
-def test_boolean_fn(n, table, scheme):
+# Each of these once ended in TypeError.
+@example(n=2, table=[0, 1, 1, 0], scheme=alg.WITH_AUX, x=1.5)
+@example(n=2, table=[0, 1, 1, 0], scheme=alg.WITH_AUX, x="a")
+def test_boolean_fn(n, table, scheme, x):
     f = check(lambda: alg.BooleanFn(n, table), fn_json)
     if f is not None:
+        check(lambda: f.value(x))
         run_function(f, scheme)
 
 
@@ -161,7 +166,19 @@ def test_walk_state(topology, amplitudes):
     check(lambda: wc.WalkState(topology, amplitudes), wc.state_to_json)
 
 
-COINS = [alg.COIN_X, alg.COIN_HADAMARD, alg.COIN_NEG_IDENTITY, 2 * alg.COIN_X]
+OBJECT_COIN = np.array([[2, 0], [0, 1]], dtype=object)  # not unitary, and not numeric
+STRING_COIN = np.array([["a", "b"], ["c", "d"]])
+COINS = [
+    alg.COIN_X,
+    alg.COIN_HADAMARD,
+    alg.COIN_NEG_IDENTITY,
+    2 * alg.COIN_X,
+    STRING_COIN,
+    np.array([[None, None], [None, None]]),
+    OBJECT_COIN,
+    np.eye(3),
+    np.array([1.0, 0.0]),
+]
 
 
 @CONTRACT
@@ -178,6 +195,7 @@ COINS = [alg.COIN_X, alg.COIN_HADAMARD, alg.COIN_NEG_IDENTITY, 2 * alg.COIN_X]
 @example(coin_map=None, shift=None, global_phase=0.0, tag=None)
 @example(coin_map={}, shift=None, global_phase=0.0, tag=[1])
 @example(coin_map={0: alg.COIN_X, "a": alg.COIN_X}, shift=None, global_phase=0.0, tag=None)
+@example(coin_map={0: STRING_COIN}, shift=None, global_phase=0.0, tag=None)  # UFuncTypeError once
 def test_walk_step_runs_and_compiles(coin_map, shift, global_phase, tag):
     step = check(lambda: wc.WalkStep(coin_map, shift, global_phase, tag))
     if step is None:
@@ -189,6 +207,12 @@ def test_walk_step_runs_and_compiles(coin_map, shift, global_phase, tag):
         check(lambda: wc.run_program(start, [step]), wc.state_to_json)
     for scheme in alg.SCHEMES:
         check(lambda: ph.compile([step], scheme), ph.circuit_to_json)
+
+
+def test_a_non_numeric_coin_is_rejected_before_either_path_runs():
+    with pytest.raises(wc.WalkError) as info:
+        wc.WalkStep({2: OBJECT_COIN})
+    assert str(info.value) == "coin at position 2 is not numeric"
 
 
 MODES = either([0, 1, 3])
@@ -212,6 +236,7 @@ COMPONENTS = st.one_of(
     n_modes=either([2, 4]),
     readout=either([None, {"scheme": alg.NO_AUX}]),
 )
+@example(parts=[[(ph.ModePermuter, ([],))]], n_modes=2**63, readout=None)  # OverflowError once
 def test_components_in_a_circuit(parts, n_modes, readout):
     stages = [[check(lambda: cls(*args)) for cls, args in stage] for stage in parts]
     circuit = check(lambda: ph.PhotonicCircuit(n_modes, stages, readout), ph.circuit_to_json)
@@ -265,9 +290,14 @@ def test_resource_report(functions, algorithm):
         (lambda: wc.WalkStep(coin_map=None), ValueError, "coin map must be a mapping, got NoneType"),
         (lambda: wc.WalkStep(tag=[1]), ValueError, "tag must be None or a str, got list"),
         (
-            lambda: ph.compile([wc.WalkStep({0: alg.COIN_X, "a": alg.COIN_X})], alg.WITH_AUX),
+            lambda: wc.WalkStep({0: alg.COIN_X, "a": alg.COIN_X}),
             wc.WalkError,
             "coin position 'a' is not an int",
+        ),
+        (
+            lambda: wc.WalkStep({0: STRING_COIN}),
+            wc.WalkError,
+            "coin at position 0 is not numeric",
         ),
         (lambda: alg.run_dj(3, alg.WITH_AUX), ValueError, "function 3 is not a BooleanFn"),
         (lambda: alg.build_dj_program(3, alg.NO_AUX), ValueError, "function 3 is not a BooleanFn"),

@@ -65,12 +65,15 @@ def test_open_line_operator_matches_every_accepted_step(size):
 
 
 def test_operator_path_checks_unitarity_after_each_step():
+    # Each step passes at 8.0e-13; two of them compound to 1.6e-12.
     topo = Topology(wc.CLOSED_CYCLE, 3)
-    bad = WalkStep({1: np.diag([1.0, 1.001])})
+    near = WalkStep({1: np.diag([1.0, 1.0 + 4e-13])})
+    assert wc._unitary_deviation(near.coin_map[1]) <= wc.MATCH_TOL
+    wc.program_operator([near], topo)
+    with pytest.raises(wc.WalkError, match=r"^operator is not unitary \(max deviation 1\.6"):
+        wc.program_operator([near, near], topo)
     with pytest.raises(wc.WalkError, match="not unitary"):
-        wc.program_operator([bad], topo)
-    with pytest.raises(wc.WalkError, match="not unitary"):
-        wc.program_operator([WalkStep(shift=wc.s_plus(0)), bad], topo)
+        wc.program_operator([near, WalkStep(shift=wc.s_plus(0)), near], topo)
 
 
 class TestSizeOneTopology:

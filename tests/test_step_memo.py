@@ -65,16 +65,11 @@ def test_operators_are_new_writable_arrays():
         assert memo[0, 0] == alg.COIN_HADAMARD[0, 0]
 
 
-@pytest.mark.parametrize(
-    "step,message",
-    [
-        (wc.WalkStep({7: alg.COIN_X}), "coin position 7 outside a topology of size 4"),
-        (wc.WalkStep({1: alg.COIN_X * 1.1}), "coin at position 1 is not unitary"),
-        (wc.WalkStep({1: np.eye(3)}), r"has shape \(3, 3\), not \(2, 2\)"),
-    ],
-    ids=["position", "non-unitary", "shape"],
-)
-def test_a_bad_step_raises_on_every_call_and_is_never_cached(step, message):
+@pytest.mark.parametrize("position", [7, -1], ids=["position", "negative-position"])
+def test_a_bad_step_raises_on_every_call_and_is_never_cached(position):
+    # Only the size tells a position out of range; every other bad coin is never built.
+    step = wc.WalkStep({position: alg.COIN_X})
+    message = f"^coin position {position} outside a topology of size 4$"
     for _ in range(3):
         with pytest.raises(wc.WalkError, match=message):
             wc.program_operator([step], alg.CYCLE4)
@@ -85,6 +80,19 @@ def test_a_bad_step_raises_on_every_call_and_is_never_cached(step, message):
     with pytest.raises(wc.WalkError):
         wc._kernel_matrix(wc.evolve, alg.CYCLE4.size, step)
     assert wc._kernel_matrix.cache_info().hits == hits
+
+
+@pytest.mark.parametrize(
+    "coin,message",
+    [
+        (alg.COIN_X * 1.1, "^coin at position 1 is not unitary"),
+        (np.eye(3), r"^coin at position 1 has shape \(3, 3\), not \(2, 2\)$"),
+    ],
+    ids=["non-unitary", "shape"],
+)
+def test_a_step_with_a_bad_coin_is_rejected_before_any_memo(coin, message):
+    with pytest.raises(wc.WalkError, match=message):
+        wc.WalkStep({1: coin})
 
 
 @pytest.mark.parametrize("size", [2, 3, 4, 5])
