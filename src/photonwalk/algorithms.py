@@ -407,7 +407,8 @@ def _dj_final_state(f: BooleanFn, scheme: str) -> WalkState:
     record = _scheme(scheme)
     queried = run_program(record.entering, _dj_oracle(f, scheme))
     amps = record.suffix_operator.dot(queried.amplitudes)
-    if not abs(_norm(amps) - queried.norm()) <= NORM_TOL:  # NaN fails
+    norm = queried.norm()
+    if not abs(_norm(amps) - norm) <= NORM_TOL * norm:  # NaN fails
         raise WalkError("final H layer did not preserve the state norm")
     return WalkState(record.topology, amps)
 

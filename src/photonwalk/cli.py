@@ -73,9 +73,11 @@ def _load_function(args) -> alg.BooleanFn:
                 blob = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CLIError(f"table: {exc}") from exc
+        if not (isinstance(blob, dict) and "n" in blob and "table" in blob):
+            raise CLIError('table: expected a JSON object with keys "n" and "table"')
         try:
-            f = alg.BooleanFn(blob["n"], tuple(blob["table"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            f = alg.BooleanFn(blob["n"], blob["table"])
+        except ValueError as exc:
             raise CLIError(f"table: {exc}") from exc
         if f.n != 2:
             raise CLIError("walk schemes support 2-bit functions")

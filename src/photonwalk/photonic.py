@@ -163,32 +163,28 @@ class PhotonicCircuit:
         object.__setattr__(self, "stages", tuple(map(tuple, stages)))
 
 
-def _apply_component(amps: np.ndarray, comp: Component) -> None:
-    """Apply one component in place to ``amps``, a (2, n_modes, ...) view."""
-    if isinstance(comp, HWP):
-        amps[:, comp.mode] = hwp_jones(comp.angle) @ amps[:, comp.mode]
-    elif isinstance(comp, PhaseShifter):
-        amps[:, comp.mode] *= np.exp(1j * comp.phase)
-    elif isinstance(comp, BeamSplitter):
-        u = bs_matrix()
-        a, b = amps[:, comp.mode_a], amps[:, comp.mode_b]
-        amps[:, comp.mode_a], amps[:, comp.mode_b] = (
-            u[0, 0] * a + u[0, 1] * b,
-            u[1, 0] * a + u[1, 1] * b,
-        )
-    elif isinstance(comp, PBS):
-        modes = [comp.mode_a, comp.mode_b]
-        amps[1, modes] = amps[1, modes[::-1]]
-    elif isinstance(comp, ModePermuter):
-        amps[:, list(comp.permutation)] = amps.copy()
-    else:
-        raise TypeError(f"unknown component: {comp!r}")
-
-
 def _apply_stage(amps: np.ndarray, stage: tuple) -> None:
-    """Apply one stage's components in order, in place: the optics kernel."""
+    """Apply one stage's components in order, in place to ``amps``, a (2, n_modes, ...)
+    view: the optics kernel."""
     for comp in stage:
-        _apply_component(amps, comp)
+        if isinstance(comp, HWP):
+            amps[:, comp.mode] = hwp_jones(comp.angle) @ amps[:, comp.mode]
+        elif isinstance(comp, PhaseShifter):
+            amps[:, comp.mode] *= np.exp(1j * comp.phase)
+        elif isinstance(comp, BeamSplitter):
+            u = bs_matrix()
+            a, b = amps[:, comp.mode_a], amps[:, comp.mode_b]
+            amps[:, comp.mode_a], amps[:, comp.mode_b] = (
+                u[0, 0] * a + u[0, 1] * b,
+                u[1, 0] * a + u[1, 1] * b,
+            )
+        elif isinstance(comp, PBS):
+            modes = [comp.mode_a, comp.mode_b]
+            amps[1, modes] = amps[1, modes[::-1]]
+        elif isinstance(comp, ModePermuter):
+            amps[:, list(comp.permutation)] = amps.copy()
+        else:
+            raise TypeError(f"unknown component: {comp!r}")
 
 
 def circuit_operator(circuit: PhotonicCircuit) -> np.ndarray:
@@ -211,7 +207,7 @@ def simulate_photonic(circuit: PhotonicCircuit, state: WalkState) -> WalkState:
     norm = state.norm()
     for stage in circuit.stages:
         amps = _kernel_matrix(_apply_stage, circuit.n_modes, stage).dot(amps)
-        if not abs(_norm(amps) - norm) <= NORM_TOL:  # NaN fails
+        if not abs(_norm(amps) - norm) <= NORM_TOL * norm:  # NaN fails
             raise ValueError("stage did not preserve the state norm")
     return WalkState(state.topology, amps)
 
@@ -239,16 +235,6 @@ def _lower_coin(coin: np.ndarray, mode: int) -> Optional[Component]:
     )
 
 
-@functools.lru_cache(maxsize=64)
-def _lower_step(step) -> tuple:
-    """Components of one step outside a position-Hadamard block, in mode order; each
-    distinct step is lowered once per process, and one with no lowering raises every call."""
-    if step.shift is not None:
-        raise UnsupportedCoin("shift outside a position-Hadamard block has no lowering")
-    comps = (_lower_coin(step.coin_map[mode], mode) for mode in sorted(step.coin_map))
-    return tuple(comp for comp in comps if comp is not None)
-
-
 # Stages of the position-Hadamard butterfly per mode count, one tuple each, so
 # ``_kernel_matrix`` finds its stages by identity.  Beam splitters realize H on
 # the path qubits; on four modes a butterfly of two BS stages with interleaved
@@ -265,18 +251,31 @@ _POSITION_HADAMARD_STAGES = {
 
 
 @functools.lru_cache(maxsize=32)
-def _block_matches(topology: Topology, block: tuple) -> bool:
-    """Whether the block's walk operator equals the beam-splitter butterfly.
+def _lower_run(topology: Topology, tag: Optional[str], run: tuple) -> tuple:
+    """Stages of one run of equally tagged steps, once per distinct run and process.
 
-    Steps are values, so blocks with equal content give equal operators and
-    the full comparison runs once per distinct block and process.
+    A position-Hadamard run becomes the beam-splitter butterfly if its walk
+    operator equals the butterfly's; any other run is lowered step by step, in
+    order, so the first bad step is named, and each step with a non-identity
+    coin becomes one stage of components in mode order.  A run with no lowering
+    raises on every call and is never cached.
     """
     n_modes = topology.size
-    walk_op = program_operator(block, topology)
-    optics = PhotonicCircuit(n_modes, _POSITION_HADAMARD_STAGES[n_modes])
-    return alg.equal_up_to_global_phase(
-        circuit_operator(optics), walk_op, tol=FIDELITY_TOL
-    )
+    if tag == alg.TAG_POSITION_HADAMARD:
+        walk_op = program_operator(run, topology)
+        optics = PhotonicCircuit(n_modes, _POSITION_HADAMARD_STAGES[n_modes])
+        if not alg.equal_up_to_global_phase(circuit_operator(optics), walk_op, tol=FIDELITY_TOL):
+            raise CompileError("position-Hadamard block does not match its walk segment")
+        return _POSITION_HADAMARD_STAGES[n_modes]
+    stages = []
+    for step in run:
+        if step.shift is not None:
+            raise UnsupportedCoin("shift outside a position-Hadamard block has no lowering")
+        comps = (_lower_coin(step.coin_map[mode], mode) for mode in sorted(step.coin_map))
+        stage = tuple(comp for comp in comps if comp is not None)
+        if stage:
+            stages.append(stage)
+    return tuple(stages)
 
 
 def _readout_metadata(scheme: str, algorithm: str) -> dict:
@@ -302,27 +301,20 @@ def compile(program: Sequence, scheme: str, algorithm: str = "dj") -> PhotonicCi
 
     Position-dependent coins become per-mode HWPs or phase shifters;
     position-Hadamard blocks become BS stages.  The compiled operator is
-    checked against the walk operator block by block; a position-Hadamard
-    block is checked once per distinct content and process (``_block_matches``),
-    and every other step is lowered once per distinct step (``_lower_step``).
+    checked against the walk operator block by block.  Each run of equally
+    tagged steps is lowered once per distinct run and process (``_lower_run``).
     """
     if algorithm not in ("dj", "bv"):
         raise ValueError(f"unknown algorithm: {algorithm!r}")
     topo = alg.scheme_topology(scheme)
-    n_modes = topo.size
     steps = _tuple_of(program, "program")
     for step in steps:
         if not isinstance(step, WalkStep):
             raise ValueError(f"program entry {step!r} is not a WalkStep")
     stages: list = []
     for tag, run in itertools.groupby(steps, lambda step: step.tag):
-        if tag == alg.TAG_POSITION_HADAMARD:
-            if not _block_matches(topo, tuple(run)):
-                raise CompileError("position-Hadamard block does not match its walk segment")
-            stages.extend(_POSITION_HADAMARD_STAGES[n_modes])
-        else:
-            stages.extend(stage for stage in map(_lower_step, run) if stage)
-    return PhotonicCircuit(n_modes, tuple(stages), _readout_metadata(scheme, algorithm))
+        stages.extend(_lower_run(topo, tag, tuple(run)))
+    return PhotonicCircuit(topo.size, tuple(stages), _readout_metadata(scheme, algorithm))
 
 
 @dataclass(frozen=True)

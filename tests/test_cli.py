@@ -67,6 +67,27 @@ class TestDJ:
         assert out == ""
         assert err == "error: table: truth table entries must be 0 or 1\n"
 
+    @pytest.mark.parametrize(
+        "blob",
+        [{"n": 2}, {"table": [0, 1, 1, 0]}, [1, 2], "0110", None],
+        ids=["no-table", "no-n", "array", "string", "null"],
+    )
+    def test_table_that_is_not_an_object_with_both_keys_exit_1(self, capsys, tmp_path, blob):
+        table = tmp_path / "t.json"
+        table.write_text(json.dumps(blob))
+        code, out, err = run(capsys, "dj", "--table", str(table))
+        assert code == 1
+        assert out == ""
+        assert err == 'error: table: expected a JSON object with keys "n" and "table"\n'
+
+    def test_table_that_is_not_a_list_exit_1(self, capsys, tmp_path):
+        table = tmp_path / "t.json"
+        table.write_text(json.dumps({"n": 2, "table": 5}))
+        code, out, err = run(capsys, "dj", "--table", str(table))
+        assert code == 1
+        assert out == ""
+        assert err == "error: table: truth table entries must be 0 or 1\n"
+
     def test_table_with_a_huge_n_exit_1(self, capsys, tmp_path):
         table = tmp_path / "t.json"
         table.write_text(json.dumps({"n": 20000, "table": [0, 1]}))

@@ -107,7 +107,7 @@ def fold_components(n_modes, components):
     m = np.eye(2 * n_modes, dtype=complex)
     columns = m.reshape(2, n_modes, 2 * n_modes)
     for comp in components:
-        ph._apply_component(columns, comp)
+        ph._apply_stage(columns, (comp,))
     return m
 
 

@@ -207,8 +207,7 @@ def test_both_hadamard_layers_share_one_position_block(scheme):
 
 
 def test_a_warm_compile_compares_no_step_or_component_by_value(monkeypatch):
-    ph._block_matches.cache_clear()
-    ph._lower_step.cache_clear()
+    ph._lower_run.cache_clear()
     programs = [(alg.build_dj_program(f, s), s) for _, f, s in CASES]
     for program, scheme in programs:
         ph.compile(program, scheme)

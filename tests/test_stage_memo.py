@@ -26,7 +26,7 @@ def fold_state(circuit, amplitudes):
     view = amps.reshape(2, circuit.n_modes)
     for stage in circuit.stages:
         for comp in stage:
-            ph._apply_component(view, comp)
+            ph._apply_stage(view, (comp,))
     return amps
 
 

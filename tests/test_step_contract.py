@@ -1,18 +1,20 @@
 """Walk steps as values, and their input checks: shift labels, non-finite
-phases and coins, and coin positions and shapes, each made when a step is built."""
+phases and coins, and coin positions and shapes, each made when a step is built;
+and the norm and boundary checks, which scale with the state's norm."""
 
 import json
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from photonwalk import algorithms as alg
 from photonwalk import photonic as ph
 from photonwalk import walk_core as wc
 from photonwalk.walk_core import Shift, WalkState, WalkStep
+from test_kernel_agreement import random_state
 
 CYCLE4 = alg.CYCLE4
 COINS = (
@@ -241,3 +243,69 @@ def test_a_state_with_an_amplitude_that_is_not_finite_is_rejected(bad):
 def test_scheme_topology_rejects_an_unknown_scheme():
     with pytest.raises(ValueError, match=re.escape("unknown scheme: 'bogus'")):
         alg.scheme_topology("bogus")
+
+
+# --- the state checks are relative to the state's norm
+
+
+H_ON_CYCLE4 = WalkStep({l: alg.COIN_HADAMARD for l in range(4)}, wc.s_plus(0))
+
+
+@pytest.mark.parametrize("norm", [1e3, 1e6])
+def test_a_unitary_program_keeps_a_large_state_on_both_paths(norm):
+    state = WalkState(CYCLE4, norm * random_state(np.random.default_rng(7), CYCLE4.dim))
+    out = wc.run_program(state, [H_ON_CYCLE4] * 20)  # raised "step 0: ..." at 1e6
+    want = wc.program_operator([H_ON_CYCLE4] * 20, CYCLE4) @ state.amplitudes
+    assert np.max(np.abs(out.amplitudes - want)) <= 1e-12 * norm
+
+
+def test_a_circuit_keeps_a_large_state():
+    stages = [(ph.BeamSplitter(i % 4, (i + 1) % 4), ph.HWP(0.1 * i, (i + 2) % 4)) for i in range(30)]
+    circuit = ph.PhotonicCircuit(4, stages)
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        state = WalkState(CYCLE4, 1e5 * random_state(rng, CYCLE4.dim))
+        out = ph.simulate_photonic(circuit, state)
+        want = ph.circuit_operator(circuit) @ state.amplitudes
+        assert np.max(np.abs(out.amplitudes - want)) <= 1e-12 * 1e5
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-11, 1.0])
+def test_amplitude_crossing_the_wrap_edge_is_caught_at_any_scale(scale):
+    line = wc.Topology(wc.OPEN_LINE, 4)
+    state = WalkState(line, WalkState.basis(line, 0, 3).amplitudes * scale)
+    with pytest.raises(wc.BoundaryViolation, match="^step 0: .* at position 3$"):
+        wc.run_program(state, [WalkStep(shift=wc.s_plus(0))])
+
+
+ALPHABET_STEPS = st.builds(
+    WalkStep,
+    st.dictionaries(st.integers(0, 6), st.sampled_from(COINS), max_size=3),
+    st.none() | st.builds(Shift, st.sampled_from((0, 1)), st.sampled_from((-1, 1))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from((wc.OPEN_LINE, wc.CLOSED_CYCLE)),
+    size=st.integers(2, 6),
+    amps=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=12, max_size=12),
+    exponent=st.integers(-12, 12),
+    program=st.lists(ALPHABET_STEPS, max_size=8),
+)
+@example(kind=wc.CLOSED_CYCLE, size=4, amps=[1.0] * 12, exponent=12, program=[H_ON_CYCLE4] * 3)
+def test_a_program_at_any_norm_runs_or_meets_a_boundary_or_a_range_error(
+    kind, size, amps, exponent, program
+):
+    topology = wc.Topology(kind, size)
+    amps = np.array(amps[: topology.dim])
+    assume(np.linalg.norm(amps) > 1e-6)
+    state = WalkState(topology, amps * (10.0**exponent / np.linalg.norm(amps)))
+    try:
+        out = wc.run_program(state, program)
+    except wc.BoundaryViolation:
+        return
+    except wc.WalkError as exc:
+        assert re.fullmatch(r"step \d+: coin position \d outside a topology of size \d", str(exc))
+        return
+    assert abs(out.norm() - state.norm()) <= wc.NORM_TOL * state.norm()

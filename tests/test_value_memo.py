@@ -14,9 +14,10 @@ from photonwalk import walk_core as wc
 MEMOS = {
     "_dj_oracle": alg._dj_oracle,
     "_scheme": alg._scheme,
-    "_lower_step": ph._lower_step,
+    "_lower_run": ph._lower_run,
 }
 TILTED = wc.build_coins([(0.1, 0.2, 0.3, 0.4)])[0]  # near no lowering pattern
+NO_AUX_TOPOLOGY = alg.scheme_topology(alg.NO_AUX)
 
 
 @pytest.mark.parametrize("memo", MEMOS.values(), ids=list(MEMOS))
@@ -78,9 +79,9 @@ def test_an_equal_rebuilt_step_hits_the_lowering_memo(scheme):
     want = ph.circuit_to_json(ph.compile(program, scheme))
     copy = [rebuilt(step) for step in program]
     assert copy == program and all(a is not b for a, b in zip(copy, program))
-    before = ph._lower_step.cache_info()
+    before = ph._lower_run.cache_info()
     assert ph.circuit_to_json(ph.compile(copy, scheme)) == want
-    after = ph._lower_step.cache_info()
+    after = ph._lower_run.cache_info()
     assert after.hits > before.hits and after.misses == before.misses
 
 
@@ -97,11 +98,11 @@ def test_an_equal_non_int_position_never_reaches_the_lowering_memo(key):
 
 
 def test_a_numpy_int_position_is_lowered_as_an_int():
-    good = ph._lower_step(wc.WalkStep({2: alg.COIN_X}))
-    hits = ph._lower_step.cache_info().hits
-    same = ph._lower_step(wc.WalkStep({np.int64(2): alg.COIN_X}))
-    assert ph._lower_step.cache_info().hits == hits + 1
-    assert same == good and type(same[0].mode) is int
+    good = ph._lower_run(NO_AUX_TOPOLOGY, None, (wc.WalkStep({2: alg.COIN_X}),))
+    hits = ph._lower_run.cache_info().hits
+    same = ph._lower_run(NO_AUX_TOPOLOGY, None, (wc.WalkStep({np.int64(2): alg.COIN_X}),))
+    assert ph._lower_run.cache_info().hits == hits + 1
+    assert same == good and type(same[0][0].mode) is int
 
 
 @pytest.mark.parametrize(
@@ -113,13 +114,23 @@ def test_a_numpy_int_position_is_lowered_as_an_int():
     ids=["tilted", "shift"],
 )
 def test_a_step_with_no_lowering_raises_every_time_and_is_never_cached(step, message):
-    size = ph._lower_step.cache_info().currsize
+    size = ph._lower_run.cache_info().currsize
     for _ in range(3):
         with pytest.raises(ph.UnsupportedCoin, match=message):
-            ph._lower_step(step)
+            ph._lower_run(NO_AUX_TOPOLOGY, None, (step,))
         with pytest.raises(ph.UnsupportedCoin, match=message):
             ph.compile([step], alg.NO_AUX)
-    assert ph._lower_step.cache_info().currsize == size
+    assert ph._lower_run.cache_info().currsize == size
+
+
+def test_a_run_is_lowered_in_step_order():
+    # The coin comes first, so its error wins over the later shift's.
+    run = [wc.WalkStep({0: TILTED}), wc.WalkStep(shift=wc.s_plus(1))]
+    for _ in range(2):
+        with pytest.raises(ph.UnsupportedCoin, match="^coin at mode 0 has no exact lowering"):
+            ph._lower_run(NO_AUX_TOPOLOGY, None, tuple(run))
+        with pytest.raises(ph.UnsupportedCoin, match="^coin at mode 0 has no exact lowering"):
+            ph.compile(run, alg.NO_AUX)
 
 
 @pytest.mark.parametrize("size", range(2, 7))  # a shift needs two sites
@@ -161,7 +172,7 @@ def test_every_lru_cache_in_the_library_is_bounded():
         for name, obj in vars(mod).items()
         if callable(getattr(obj, "cache_parameters", None))
     }
-    assert len(memos) == 6
+    assert len(memos) == 5
     unbounded = [
         name for name, memo in memos.values() if memo.cache_parameters()["maxsize"] is None
     ]

@@ -33,7 +33,7 @@ def test_prefix_operator_is_cached_and_read_only(scheme):
 
 
 def test_block_memo_is_bounded():
-    assert ph._block_matches.cache_info().maxsize == 32
+    assert ph._lower_run.cache_info().maxsize == 32
 
 
 def first_block(program):
@@ -107,9 +107,9 @@ def test_block_equal_by_value_hits_the_memo(scheme):
     ph.compile(program, scheme)
     copy = [rebuilt(step) for step in program]
     assert copy == program and all(a is not b for a, b in zip(copy, program))
-    before = ph._block_matches.cache_info()
+    before = ph._lower_run.cache_info()
     ph.compile(copy, scheme)
-    after = ph._block_matches.cache_info()
+    after = ph._lower_run.cache_info()
     assert after.hits > before.hits and after.misses == before.misses
     i, j = first_block(copy)
     k = next(k for k in range(i, j) if copy[k].coin_map)
@@ -118,9 +118,26 @@ def test_block_equal_by_value_hits_the_memo(scheme):
         ph.compile(copy, scheme)
 
 
+@pytest.mark.parametrize("scheme", alg.SCHEMES)
+def test_a_mismatched_block_raises_on_every_call_and_is_never_cached(scheme):
+    program = alg.build_dj_program(VII, scheme)
+    i, j = first_block(program)
+    block = list(program[i:j])
+    k = next(k for k, step in enumerate(block) if step.coin_map)
+    block[k] = with_coin(block[k], next(iter(block[k].coin_map)), alg.COIN_PHASE_FLIP_1)
+    topology = alg.scheme_topology(scheme)
+    size = ph._lower_run.cache_info().currsize
+    for _ in range(3):
+        misses = ph._lower_run.cache_info().misses
+        with pytest.raises(ph.CompileError, match="^position-Hadamard block does not match"):
+            ph._lower_run(topology, alg.TAG_POSITION_HADAMARD, tuple(block))
+        assert ph._lower_run.cache_info().misses == misses + 1  # compared again
+    assert ph._lower_run.cache_info().currsize == size
+
+
 @pytest.mark.parametrize("key", [2.0, True], ids=["float", "bool"])
 def test_a_block_step_with_an_equal_non_int_position_is_never_built(key):
-    # {2: X} and {2.0: X} would hash alike and share a block memo entry.
+    # {2: X} and {2.0: X} would hash alike and share a run memo entry.
     program = alg.build_dj_program(VII, alg.WITH_AUX)
     ph.compile(program, alg.WITH_AUX)
     i, j = first_block(program)
