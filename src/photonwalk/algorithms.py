@@ -318,7 +318,7 @@ class _Scheme:
     """Every per-scheme decision of the DJ/BV pipeline; see ``_scheme``."""
 
     topology: Topology
-    labels: tuple  # outcome label of each amplitude, coin-major
+    outcome: np.ndarray  # the input x of each amplitude, coin-major; read-only
     oracle: Callable[[BooleanFn], tuple]
     coin_hadamard: WalkStep
     position_hadamard: tuple
@@ -337,11 +337,11 @@ def _scheme(name: str) -> _Scheme:
     the final H layer; no-aux reads the coin as the first input bit.
     """
     if name == WITH_AUX:
-        topology, labels, oracle = CYCLE4, CYCLE_LABELS * 2, build_oracle_with_aux
+        topology, outcome, oracle = CYCLE4, with_aux_index_map() // 2, build_oracle_with_aux
         position = tuple(_position_hadamard_with_aux())
         prep, reads_coin = (WalkStep({0: COIN_X}, tag=TAG_PREP),), False
     elif name == NO_AUX:
-        topology, labels, oracle = LINE2, ("00", "01", "10", "11"), build_oracle_no_aux
+        topology, outcome, oracle = LINE2, np.arange(4), build_oracle_no_aux
         position = tuple(_position_hadamard_no_aux())
         prep, reads_coin = (), True
     else:
@@ -350,10 +350,10 @@ def _scheme(name: str) -> _Scheme:
     prefix = (*prep, coin, *position)
     suffix = (coin, *position) if reads_coin else position
     operators = [program_operator(steps, topology) for steps in (prefix, suffix)]
-    for m in operators:
+    for m in (*operators, outcome):
         m.setflags(write=False)
     entering = WalkState(topology, operators[0][:, 0])
-    return _Scheme(topology, labels, oracle, coin, position, prefix, suffix, *operators, entering)
+    return _Scheme(topology, outcome, oracle, coin, position, prefix, suffix, *operators, entering)
 
 
 @dataclass(frozen=True)
@@ -413,22 +413,17 @@ def _dj_final_state(f: BooleanFn, scheme: str) -> WalkState:
     return WalkState(record.topology, amps)
 
 
-def _readout(final: WalkState, scheme: str) -> dict:
-    """Outcome label -> probability of a final DJ/BV state; equal labels add, coin 0 first."""
-    dist: dict = {}
-    for label, p in zip(_scheme(scheme).labels, measure_joint(final).ravel().tolist()):
-        dist[label] = dist.get(label, 0.0) + p
-    return dist
+def _walk_probabilities(f: BooleanFn, scheme: str) -> np.ndarray:
+    """P(x) for each input x in the final walk state; the amplitudes of one x add, coin 0 first."""
+    joint = measure_joint(_dj_final_state(f, scheme)).ravel()
+    return np.bincount(_scheme(scheme).outcome, weights=joint)
 
 
 def run_dj(f: BooleanFn, scheme: str) -> DJOutcome:
     _require_fn(f)
     if classify_fn(f) is FnClass.NEITHER:
-        raise PromiseViolation(
-            "function is neither constant nor balanced; the Deutsch-Jozsa "
-            "promise does not hold"
-        )
-    return DJOutcome(scheme, _readout(_dj_final_state(f, scheme), scheme)["00"])
+        raise PromiseViolation("function is neither constant nor balanced")
+    return DJOutcome(scheme, float(_walk_probabilities(f, scheme)[0]))
 
 
 @dataclass(frozen=True)
@@ -497,13 +492,9 @@ def run_bv(s: str, scheme: str) -> BVOutcome:
             f"brute-force reference supports n <= {REFERENCE_MAX_N}, got n = {len(s)}"
         )
     f = hidden_string_fn(s)
-    if f.n == 2:
-        dist = _readout(_dj_final_state(f, scheme), scheme)
-        recovered = max(sorted(dist), key=dist.__getitem__)
-    else:
-        probs = _reference_probabilities(scheme, f)
-        dist = _BitLabelView(probs, f.n)
-        recovered = format(int(probs.argmax()), f"0{f.n}b")  # the first maximum in x order
+    probs = _walk_probabilities(f, scheme) if f.n == 2 else _reference_probabilities(scheme, f)
+    dist = _BitLabelView(probs, f.n)
+    recovered = format(int(probs.argmax()), f"0{f.n}b")  # the first maximum in x order
     return BVOutcome(scheme, s, recovered, dist[recovered], dist)
 
 

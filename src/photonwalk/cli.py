@@ -34,8 +34,23 @@ class CLIError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _StoreOnce)  # every value option
+
     def error(self, message):  # keep the exit-code contract: input errors are 1
         raise CLIError(message)
+
+
+class _StoreOnce(argparse.Action):
+    """Store an option's value; a second occurrence is an input error, not a silent override."""
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        given = vars(namespace).setdefault("_given", set())  # per parse, on its namespace
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
 
 
 def _write_file(path: str, text: str) -> None:
@@ -55,7 +70,7 @@ def _write_file(path: str, text: str) -> None:
 
 
 def _emit(text: str, output: Optional[str]) -> None:
-    if output:
+    if output is not None:  # an empty path is a missing file, not stdout
         _write_file(output, text)
     else:
         sys.stdout.write(text)
@@ -111,9 +126,6 @@ def _emit_results(args, blob: dict, lines: list) -> None:
 
 def cmd_dj(args) -> int:
     f = _load_function(args)
-    if alg.classify_fn(f) is alg.FnClass.NEITHER:
-        sys.stderr.write("promise violated: function is neither constant nor balanced\n")
-        return EXIT_PROMISE
     results = []
     for scheme in _schemes(args.scheme):
         out = alg.run_dj(f, scheme)
@@ -152,7 +164,7 @@ def cmd_bv(args) -> int:
             "hidden": out.hidden,
             "recovered": out.recovered,
             "probability": out.probability,
-            "distribution": out.distribution,
+            "distribution": dict(out.distribution),
         }
         if args.dump_state:
             entry["states"] = _dump_states(alg.hidden_string_fn(s), scheme)
@@ -302,13 +314,11 @@ def _perturbed(circuit: ph.PhotonicCircuit, perturb) -> ph.PhotonicCircuit:
 
 
 def _suite_photonic_fidelity(perturb):
-    for angle, target in [
-        (np.pi / 8, alg.COIN_HADAMARD),
-        (np.pi / 4, alg.COIN_X),
-        (0.0, alg.COIN_PHASE_FLIP_1),
-        (np.pi / 2, alg.COIN_PHASE_FLIP_0),
-    ]:
-        _check(np.max(np.abs(ph.hwp_jones(angle) - target)) <= wc.MATCH_TOL)
+    for coin, lower in ph._LOWERINGS[1:]:  # the alphabet compile lowers with, after the identity
+        comp = lower(0)
+        dev = np.max(np.abs(ph.circuit_operator(ph.PhotonicCircuit(1, [(comp,)])) - coin))
+        _check(dev <= wc.MATCH_TOL,
+               f"{comp!r} is {dev:.3e} off its coin (tolerance {wc.MATCH_TOL:.0e})")
     cases = [(name, f) for name, f in alg.two_bit_catalogue()]
     cases += [(f"bv {s}", alg.hidden_string_fn(s)) for s, _ in alg.BV_STRINGS]
     for name, f in cases:
@@ -427,7 +437,7 @@ def cmd_report(args) -> int:
         _emit(json.dumps({"rows": rows}, indent=2) + "\n", args.output)
     else:
         _emit(ph.report_to_csv(rows), args.output)
-        if args.output:
+        if args.output is not None:
             _write_file(args.output + ".json", json.dumps({"rows": rows}, indent=2))
     return EXIT_OK
 

@@ -214,7 +214,7 @@ def simulate_photonic(circuit: PhotonicCircuit, state: WalkState) -> WalkState:
 
 # Coin lowering alphabet: matrix pattern -> component factory (None = no optics).
 _LOWERINGS = (
-    (np.eye(2), None),
+    (alg.COIN_IDENTITY, None),
     (alg.COIN_X, lambda mode: HWP(np.pi / 4, mode)),
     (alg.COIN_PHASE_FLIP_1, lambda mode: HWP(0.0, mode)),
     (alg.COIN_PHASE_FLIP_0, lambda mode: HWP(np.pi / 2, mode)),

@@ -33,9 +33,18 @@ class TestDJ:
     def test_promise_violation_exit_2(self, capsys, tmp_path):
         table = tmp_path / "and.json"
         table.write_text(json.dumps({"n": 2, "table": [0, 0, 0, 1]}))
-        code, _, err = run(capsys, "dj", "--table", str(table))
+        code, out, err = run(capsys, "dj", "--table", str(table))
         assert code == 2
-        assert "promise violated" in err
+        assert out == ""
+        assert err == "promise violated: function is neither constant nor balanced\n"
+
+    def test_a_promise_violation_does_not_hide_a_bad_scheme(self, capsys, tmp_path):
+        table = tmp_path / "and.json"
+        table.write_text(json.dumps({"n": 2, "table": [0, 0, 0, 1]}))
+        code, out, err = run(capsys, "dj", "--table", str(table), "--scheme", "bogus")
+        assert code == 1
+        assert out == ""
+        assert err == "error: scheme: expected with-aux, no-aux or both, got 'bogus'\n"
 
     def test_unknown_function_exit_1(self, capsys):
         code, _, err = run(capsys, "dj", "--function", "ix")
@@ -378,6 +387,48 @@ class TestOutputFile:
     def test_writes_to_a_device(self, capsys):
         code, _, _ = run(capsys, "dj", "--function", "i", "--output", os.devnull)
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dj", "--function", "i"],
+            ["bv", "--string", "11"],
+            ["verify", "--suite", "coin-unitarity"],
+            ["report"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_an_empty_path_is_a_missing_file(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--output", "")
+        assert code == 1
+        assert out == ""
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
+
+
+class TestRepeatedOption:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "coin-unitarity", "--suite", "bv-exactness"],
+            ["dj", "--function", "i", "--scheme", "with-aux", "--scheme", "no-aux"],
+            ["dj", "--function", "i", "--function", "ii"],
+        ],
+        ids=["suite", "scheme", "function"],
+    )
+    def test_a_second_value_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: argument {argv[-2]}: given more than once\n"
+
+    def test_a_repeated_flag_is_accepted(self, capsys):
+        once = run(capsys, "dj", "--function", "i", "--dump-state")
+        assert run(capsys, "dj", "--function", "i", "--dump-state", "--dump-state") == once
+
+    def test_one_parser_takes_each_option_once_per_parse(self):
+        parser = cli.build_parser()
+        for suite in ("coin-unitarity", "bv-exactness"):
+            assert parser.parse_args(["verify", "--suite", suite]).suite == suite
 
 
 # --- checks that python -O keeps

@@ -98,12 +98,28 @@ def test_entering_state_equals_the_prefix_run_bitwise(scheme):
     assert np.array_equal(record.prefix_operator[:, 0], want.amplitudes)
 
 
-@pytest.mark.parametrize(
-    "scheme,labels",
-    [(alg.WITH_AUX, ["00", "01", "11", "10"]), (alg.NO_AUX, ["00", "01", "10", "11"])],
-)
-def test_readout_keeps_its_key_order(scheme, labels):
-    assert list(alg.run_bv("11", scheme).distribution) == labels
+@pytest.mark.parametrize("scheme", alg.SCHEMES)
+def test_readout_keeps_its_key_order(scheme):
+    assert list(alg.run_bv("11", scheme).distribution) == ["00", "01", "10", "11"]
+
+
+def label_loop(final, scheme):
+    """The readout as a dict built amplitude by amplitude from a label per amplitude
+    (the with-aux cycle in Gray order, twice): equal labels add, coin 0 first."""
+    labels = ["00", "01", "11", "10"] * 2 if scheme == alg.WITH_AUX else ["00", "01", "10", "11"]
+    dist = {}
+    for label, p in zip(labels, wc.measure_joint(final).ravel().tolist()):
+        dist[label] = dist.get(label, 0.0) + p
+    return dist
+
+
+@pytest.mark.parametrize("scheme", alg.SCHEMES)
+@pytest.mark.parametrize("name,f", CASES, ids=[name for name, _ in CASES])
+def test_walk_probabilities_equal_the_label_loop_bitwise(name, f, scheme):
+    dist = label_loop(alg._dj_final_state(f, scheme), scheme)
+    want = np.array([dist[format(x, "02b")] for x in range(4)])
+    got = alg._walk_probabilities(f, scheme)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_unknown_scheme_raises_and_leaves_cache_usable():

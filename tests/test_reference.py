@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from photonwalk import algorithms as alg
+from photonwalk import walk_core as wc
 
 
 def closed_form_p_all_zero(table) -> float:
@@ -182,6 +183,17 @@ def test_bv_view_matches_the_old_dict(n, scheme):
         if n == 3:
             assert dict(out.distribution) == old
             assert repr(out) == repr(alg.BVOutcome(scheme, s, recovered, probability, old))
+
+
+@pytest.mark.parametrize("scheme", alg.SCHEMES)
+@pytest.mark.parametrize("s", [s for s, _ in alg.BV_STRINGS])
+def test_a_two_bit_walk_distribution_reads_like_the_reference_view(s, scheme):
+    out = alg.run_bv(s, scheme)
+    ref = alg._BitLabelView(alg._reference_probabilities(scheme, alg.hidden_string_fn(s)), 2)
+    assert isinstance(out.distribution, alg._BitLabelView)
+    assert list(out.distribution) == list(ref)  # the same keys in the same order
+    for (key, p), q in zip(out.distribution.items(), ref.values()):
+        assert abs(p - q) <= wc.NORM_TOL, key
 
 
 @pytest.mark.parametrize("scheme", alg.SCHEMES)

@@ -159,6 +159,28 @@ def test_verify_then_fault_injection_in_one_process(capsys):
     assert captured.err == f"first failure: photonic-fidelity: {message}\n"
 
 
+def test_the_fidelity_suite_names_a_lowering_off_its_coin(monkeypatch):
+    lowerings = list(ph._LOWERINGS)
+    index = next(i for i, (coin, _) in enumerate(lowerings) if coin is alg.COIN_HADAMARD)
+    lowerings[index] = (alg.COIN_HADAMARD, lambda mode: ph.HWP(np.pi / 8 + 1e-12, mode))
+    monkeypatch.setattr(ph, "_LOWERINGS", tuple(lowerings))
+    [(name, passed, message)] = cli.run_suites(["photonic-fidelity"])
+    assert (name, passed) == ("photonic-fidelity", False)
+    assert message == (
+        "HWP(angle=0.3926990816997241, mode=0, kind='hwp') is 1.414e-12 off its coin "
+        "(tolerance 1e-12)"
+    )
+
+
+@pytest.mark.parametrize("index", range(1, len(ph._LOWERINGS)))
+def test_the_fidelity_suite_checks_every_component_compile_lowers_to(monkeypatch, index):
+    lowerings = list(ph._LOWERINGS)
+    lowerings[index] = (-lowerings[index][0], lowerings[index][1])
+    monkeypatch.setattr(ph, "_LOWERINGS", tuple(lowerings))
+    [(_, passed, message)] = cli.run_suites(["photonic-fidelity"])
+    assert not passed and message.startswith(repr(lowerings[index][1](0)))
+
+
 def test_coin_suite_draws_the_per_call_rows(monkeypatch):
     rng = random.Random(20240917)
     want = [tuple(rng.uniform(-2 * np.pi, 2 * np.pi) for _ in range(4)) for _ in range(1000)]
