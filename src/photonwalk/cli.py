@@ -53,8 +53,8 @@ class _StoreOnce(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def _write_file(path: str, text: str) -> None:
-    """Replace the contents of ``path`` with ``text``.
+def _write_file(path: str, text: str) -> bool:
+    """Replace the contents of ``path`` with ``text``; True if it is a regular file.
 
     The file is overwritten in place and then cut to the new length, not
     truncated on open: on ext4, closing a file that was truncated to zero and
@@ -65,8 +65,10 @@ def _write_file(path: str, text: str) -> None:
     no_trunc = lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)
     with open(path, "w", opener=no_trunc) as fh:
         fh.write(text)
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        if regular:
             fh.truncate()
+    return regular
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -201,7 +203,8 @@ def _suite_coin_unitarity(perturb):
     # -2pi + 4pi u has the bits of rng.uniform(-2pi, 2pi), drawn row by row.
     angles = -2 * np.pi + 4 * np.pi * _uniforms(random.Random(20240917), 1000, 4)
     coins = wc.build_coins(angles)  # names the first row that is not unitary
-    det_devs = np.abs(np.linalg.det(coins) - np.exp(2j * angles[:, 0]))
+    a, b, c, d = coins.reshape(-1, 4).T
+    det_devs = np.abs(a * d - b * c - np.exp(2j * angles[:, 0]))  # cheaper than np.linalg.det's LU
     bad = np.flatnonzero(~(det_devs <= wc.MATCH_TOL))  # NaN fails
     if bad.size:
         raise AssertionError(
@@ -282,8 +285,8 @@ def _suite_dj_determinism(perturb):
     rng = random.Random(99)
     for n in range(3, 7):
         # Ten balanced tables: each row's rank order is a uniform permutation.
-        for table in (np.argsort(_uniforms(rng, 10, 2**n), axis=1) < 2 ** (n - 1)).tolist():
-            f = alg.BooleanFn(n, table)
+        for bits in (np.argsort(_uniforms(rng, 10, 2**n), axis=1) < 2 ** (n - 1)).astype("u1"):
+            f = alg.BooleanFn._from_bits(n, bits)  # numpy-built 0/1 bits: the trusted path
             for scheme in alg.SCHEMES:
                 _check(alg.brute_force_p_all_zero(scheme, f) <= wc.MATCH_TOL)
 
@@ -435,10 +438,10 @@ def cmd_report(args) -> int:
         rows += ph.resource_report(bv_fns, algorithm="bv")
     if args.format == "json":
         _emit(json.dumps({"rows": rows}, indent=2) + "\n", args.output)
-    else:
-        _emit(ph.report_to_csv(rows), args.output)
-        if args.output is not None:
-            _write_file(args.output + ".json", json.dumps({"rows": rows}, indent=2))
+    elif args.output is None:
+        sys.stdout.write(ph.report_to_csv(rows))
+    elif _write_file(args.output, ph.report_to_csv(rows)):  # a sidecar only beside a regular file
+        _write_file(args.output + ".json", json.dumps({"rows": rows}, indent=2))
     return EXIT_OK
 
 

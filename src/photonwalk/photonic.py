@@ -136,31 +136,44 @@ class PhotonicCircuit:
         object.__setattr__(self, "n_modes", int(self.n_modes))  # np.int64 -> int, for JSON
         if not (self.readout is None or isinstance(self.readout, dict)):
             raise ValueError(f"readout must be None or a dict, got {type(self.readout).__name__}")
-        stages = _tuple_of(self.stages, "stages")
-        for stage in stages:
-            if not isinstance(stage, (tuple, list)):
-                raise ValueError(f"stage {stage!r} is not a tuple of components")
-            used: list = []
-            for comp in stage:
-                modes = _component_modes(comp)
-                # Equal stages share one memoised matrix, so a mode that equals
-                # an int without being one (True, 1.0) must not get that far.
-                bad = [m for m in modes if not _is_int(m)]
-                if bad:
-                    raise ValueError(f"component mode {bad[0]!r} is not an int")
-                if any(m < 0 or m >= self.n_modes for m in modes):
-                    raise ValueError(f"component references mode >= {self.n_modes}")
-                if isinstance(comp, ModePermuter) and (  # length first: n_modes may be 2**63
-                    len(modes) != self.n_modes or sorted(modes) != list(range(self.n_modes))
-                ):
-                    raise ValueError(
-                        f"mode permuter {comp.permutation} is not a permutation "
-                        f"of {self.n_modes} modes"
-                    )
-                used += modes
-            if len(set(used)) < len(used):
-                raise ModeCollision("stage components must act on disjoint modes")
-        object.__setattr__(self, "stages", tuple(map(tuple, stages)))
+        object.__setattr__(self, "stages", _checked_stages(self.n_modes, self.stages))
+
+    @classmethod
+    def _from_checked(cls, n_modes: int, stages: tuple, readout: dict) -> PhotonicCircuit:
+        """Trusted path for ``compile``, whose ``_lower_run`` has checked every stage."""
+        circuit = object.__new__(cls)
+        circuit.__dict__.update(n_modes=n_modes, stages=stages, readout=readout)
+        return circuit
+
+
+def _checked_stages(n_modes: int, stages) -> tuple:
+    """``stages`` as a tuple of tuples, each stage checked against ``n_modes`` modes
+    with a one-line ValueError (a ModeCollision for a mode used twice)."""
+    stages = _tuple_of(stages, "stages")
+    for stage in stages:
+        if not isinstance(stage, (tuple, list)):
+            raise ValueError(f"stage {stage!r} is not a tuple of components")
+        used: list = []
+        for comp in stage:
+            modes = _component_modes(comp)
+            # Equal stages share one memoised matrix, so a mode that equals
+            # an int without being one (True, 1.0) must not get that far.
+            bad = [m for m in modes if not _is_int(m)]
+            if bad:
+                raise ValueError(f"component mode {bad[0]!r} is not an int")
+            if any(m < 0 or m >= n_modes for m in modes):
+                raise ValueError(f"component references mode >= {n_modes}")
+            if isinstance(comp, ModePermuter) and (  # length first: n_modes may be 2**63
+                len(modes) != n_modes or sorted(modes) != list(range(n_modes))
+            ):
+                raise ValueError(
+                    f"mode permuter {comp.permutation} is not a permutation "
+                    f"of {n_modes} modes"
+                )
+            used += modes
+        if len(set(used)) < len(used):
+            raise ModeCollision("stage components must act on disjoint modes")
+    return tuple(map(tuple, stages))
 
 
 def _apply_stage(amps: np.ndarray, stage: tuple) -> None:
@@ -257,8 +270,9 @@ def _lower_run(topology: Topology, tag: Optional[str], run: tuple) -> tuple:
     A position-Hadamard run becomes the beam-splitter butterfly if its walk
     operator equals the butterfly's; any other run is lowered step by step, in
     order, so the first bad step is named, and each step with a non-identity
-    coin becomes one stage of components in mode order.  A run with no lowering
-    raises on every call and is never cached.
+    coin becomes one stage of components in mode order.  The stages are checked
+    here, as ``PhotonicCircuit`` checks them, so a run with no lowering or a coin
+    outside the topology raises on every call and is never cached.
     """
     n_modes = topology.size
     if tag == alg.TAG_POSITION_HADAMARD:
@@ -275,7 +289,7 @@ def _lower_run(topology: Topology, tag: Optional[str], run: tuple) -> tuple:
         stage = tuple(comp for comp in comps if comp is not None)
         if stage:
             stages.append(stage)
-    return tuple(stages)
+    return _checked_stages(n_modes, stages)
 
 
 def _readout_metadata(scheme: str, algorithm: str) -> dict:
@@ -302,7 +316,8 @@ def compile(program: Sequence, scheme: str, algorithm: str = "dj") -> PhotonicCi
     Position-dependent coins become per-mode HWPs or phase shifters;
     position-Hadamard blocks become BS stages.  The compiled operator is
     checked against the walk operator block by block.  Each run of equally
-    tagged steps is lowered once per distinct run and process (``_lower_run``).
+    tagged steps is lowered and its stages checked once per distinct run and
+    process (``_lower_run``), so the circuit is assembled without a second check.
     """
     if algorithm not in ("dj", "bv"):
         raise ValueError(f"unknown algorithm: {algorithm!r}")
@@ -314,7 +329,9 @@ def compile(program: Sequence, scheme: str, algorithm: str = "dj") -> PhotonicCi
     stages: list = []
     for tag, run in itertools.groupby(steps, lambda step: step.tag):
         stages.extend(_lower_run(topo, tag, tuple(run)))
-    return PhotonicCircuit(topo.size, tuple(stages), _readout_metadata(scheme, algorithm))
+    return PhotonicCircuit._from_checked(
+        topo.size, tuple(stages), _readout_metadata(scheme, algorithm)
+    )
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,10 @@ def build_coins(angles) -> np.ndarray:
     cos, sin = et.real, et.imag
     entries = np.stack([eq * cos, er * sin, -er.conj() * sin, eq.conj() * cos], axis=1)
     coins = (g[:, None] * entries).reshape(-1, 2, 2)
-    devs = np.max(np.abs(coins.conj().transpose(0, 2, 1) @ coins - np.eye(2)), axis=(1, 2))
+    a, b, c, d = coins.reshape(-1, 4).T  # _unitary_deviation's closed form, row by row
+    off = np.abs(a.conj() * b + c.conj() * d)
+    col0, col1 = np.abs(a) ** 2 + np.abs(c) ** 2, np.abs(b) ** 2 + np.abs(d) ** 2
+    devs = np.maximum(np.maximum(off, np.abs(col0 - 1)), np.abs(col1 - 1))  # NaN stays NaN
     bad = np.flatnonzero(~(devs <= MATCH_TOL))  # NaN fails
     if bad.size:
         row = bad[0]

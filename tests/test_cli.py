@@ -388,6 +388,21 @@ class TestOutputFile:
         code, _, _ = run(capsys, "dj", "--function", "i", "--output", os.devnull)
         assert code == 0
 
+    def test_report_writes_no_sidecar_beside_a_fifo(self, capsys, tmp_path):
+        # /dev/null behaves the same; a FIFO keeps the check inside tmp_path.
+        fifo = tmp_path / "report.csv"
+        os.mkfifo(fifo)
+        _, csv_out, _ = run(capsys, "report")
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open returns
+        try:
+            code, out, err = run(capsys, "report", "--output", str(fifo))
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert (code, out, err) == (0, "", "")
+        assert data.decode() == csv_out
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
     @pytest.mark.parametrize(
         "argv",
         [

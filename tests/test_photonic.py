@@ -431,3 +431,18 @@ def test_a_circuit_is_rejected_exactly_when_a_stage_repeats_a_mode(case):
     else:
         m = ph.circuit_operator(ph.PhotonicCircuit(n_modes, stages))
         assert np.max(np.abs(m.conj().T @ m - np.eye(2 * n_modes))) <= wc.MATCH_TOL
+
+
+COMPILED = alg.two_bit_catalogue()
+COMPILED += [(f"bv {s}", alg.hidden_string_fn(s)) for s, _ in alg.BV_STRINGS]
+
+
+@pytest.mark.parametrize("algorithm", ["dj", "bv"])
+@pytest.mark.parametrize("scheme", alg.SCHEMES)
+@pytest.mark.parametrize("f", [f for _, f in COMPILED], ids=[name for name, _ in COMPILED])
+def test_compile_assembles_the_circuit_the_checking_constructor_builds(f, scheme, algorithm):
+    # compile skips PhotonicCircuit's checks: _lower_run has made them.
+    c = ph.compile(alg.build_dj_program(f, scheme), scheme, algorithm)
+    checked = ph.PhotonicCircuit(c.n_modes, c.stages, c.readout)
+    assert c == checked
+    assert ph.circuit_to_json(c) == ph.circuit_to_json(checked)

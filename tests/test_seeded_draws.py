@@ -7,8 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from photonwalk import algorithms as alg
 from photonwalk import cli
 
 
@@ -45,3 +47,22 @@ def test_verify_never_imports_numpy_random():
     assert proc.returncode == 0, proc.stderr
     want = [[[], 0, False]] + [[["--suite", name], 0, False] for name, _ in cli.ALL_SUITES]
     assert json.loads(proc.stdout) == want
+
+
+def test_the_determinism_tables_take_the_trusted_path_to_the_same_function(monkeypatch):
+    from_bits = alg.BooleanFn._from_bits
+    seen = []
+
+    def recording(n, bits):
+        f = from_bits(n, bits)
+        seen.append((n, bits.tolist(), f))
+        return f
+
+    monkeypatch.setattr(alg.BooleanFn, "_from_bits", recording)
+    cli._suite_dj_determinism({})
+    assert [n for n, _, _ in seen] == [n for n in range(3, 7) for _ in range(10)]
+    for n, row, f in seen:
+        want = alg.BooleanFn(n, row)
+        assert f == want and type(f.table) is tuple
+        assert f._mask.dtype == want._mask.dtype == np.bool_
+        assert f._mask.tobytes() == want._mask.tobytes()

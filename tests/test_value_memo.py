@@ -98,11 +98,24 @@ def test_an_equal_non_int_position_never_reaches_the_lowering_memo(key):
 
 
 def test_a_numpy_int_position_is_lowered_as_an_int():
-    good = ph._lower_run(NO_AUX_TOPOLOGY, None, (wc.WalkStep({2: alg.COIN_X}),))
+    good = ph._lower_run(NO_AUX_TOPOLOGY, None, (wc.WalkStep({1: alg.COIN_X}),))
     hits = ph._lower_run.cache_info().hits
-    same = ph._lower_run(NO_AUX_TOPOLOGY, None, (wc.WalkStep({np.int64(2): alg.COIN_X}),))
+    same = ph._lower_run(NO_AUX_TOPOLOGY, None, (wc.WalkStep({np.int64(1): alg.COIN_X}),))
     assert ph._lower_run.cache_info().hits == hits + 1
     assert same == good and type(same[0][0].mode) is int
+
+
+@pytest.mark.parametrize("position", [2, -1])
+def test_a_coin_outside_the_topology_raises_every_time_and_is_never_cached(position):
+    # The two-mode topology: _lower_run checks its stages as PhotonicCircuit does.
+    step = wc.WalkStep({position: alg.COIN_X})
+    size = ph._lower_run.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValueError, match="^component references mode >= 2$"):
+            ph._lower_run(NO_AUX_TOPOLOGY, None, (step,))
+        with pytest.raises(ValueError, match="^component references mode >= 2$"):
+            ph.compile([step], alg.NO_AUX)
+    assert ph._lower_run.cache_info().currsize == size
 
 
 @pytest.mark.parametrize(
