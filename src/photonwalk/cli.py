@@ -71,11 +71,20 @@ def _write_file(path: str, text: str) -> bool:
     return regular
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output is not None:  # an empty path is a missing file, not stdout
-        _write_file(output, text)
+def _render(args, blob: dict, lines: list) -> bool:
+    """Write a command's result to ``--output``, or to stdout when it is not given:
+    ``blob`` as JSON under ``--format json``, else the text ``lines`` and one JSON line
+    per dj/bv ``--dump-state`` snapshot.  True if it wrote a regular file."""
+    if args.format == "json":
+        lines = [json.dumps(blob, indent=2)]
     else:
+        snaps = [json.dumps(s) for r in blob.get("results", ()) for s in r.get("states", ())]
+        lines = lines + snaps
+    text = "\n".join(lines) + "\n"
+    if args.output is None:
         sys.stdout.write(text)
+        return False
+    return _write_file(args.output, text)  # an empty path is a missing file, not stdout
 
 
 def _load_function(args) -> alg.BooleanFn:
@@ -102,43 +111,34 @@ def _load_function(args) -> alg.BooleanFn:
     raise CLIError("dj needs --function or --table")
 
 
-def _schemes(arg: str) -> list:
-    if arg == "both":
-        return list(alg.SCHEMES)
-    if arg in alg.SCHEMES:
-        return [arg]
-    raise CLIError(f"scheme: expected with-aux, no-aux or both, got {arg!r}")
-
-
-def _dump_states(f: alg.BooleanFn, scheme: str) -> list:
-    return [
-        {"stage": stage, "state": wc.state_to_json(state)}
-        for stage, state in alg.dj_pipeline_states(f, scheme)
-    ]
-
-
-def _emit_results(args, blob: dict, lines: list) -> None:
-    """Write a dj/bv blob as JSON, or its text lines and any --dump-state snapshots."""
-    if args.format == "json":
-        _emit(json.dumps(blob, indent=2) + "\n", args.output)
-        return
-    snaps = [json.dumps(snap) for r in blob["results"] for snap in r.get("states", [])]
-    _emit("\n".join(lines + snaps) + "\n", args.output)
+def _per_scheme(args, entry, fn) -> list:
+    """One result per scheme that ``--scheme`` names (``both``: each of ``alg.SCHEMES``): the
+    scheme, then ``entry(scheme)``'s fields, then under ``--dump-state`` the snapshots of
+    the walk of the function ``fn()``."""
+    if args.scheme != "both" and args.scheme not in alg.SCHEMES:
+        raise CLIError(f"scheme: expected with-aux, no-aux or both, got {args.scheme!r}")
+    results = []
+    for scheme in alg.SCHEMES if args.scheme == "both" else [args.scheme]:
+        results.append({"scheme": scheme, **entry(scheme)})
+        if args.dump_state:
+            results[-1]["states"] = [
+                {"stage": stage, "state": wc.state_to_json(state)}
+                for stage, state in alg.dj_pipeline_states(fn(), scheme)
+            ]
+    return results
 
 
 def cmd_dj(args) -> int:
     f = _load_function(args)
-    results = []
-    for scheme in _schemes(args.scheme):
+
+    def entry(scheme):
         out = alg.run_dj(f, scheme)
-        entry = {
-            "scheme": scheme,
+        return {
             "p_all_zero": out.p_all_zero,
             "classification": out.classification.value,
         }
-        if args.dump_state:
-            entry["states"] = _dump_states(f, scheme)
-        results.append(entry)
+
+    results = _per_scheme(args, entry, lambda: f)
     agree = len({r["classification"] for r in results}) == 1
     lines = [
         f"{r['scheme']}: p_all_zero={r['p_all_zero']:.6f} "
@@ -147,8 +147,7 @@ def cmd_dj(args) -> int:
     ]
     if len(results) > 1:
         lines.append(f"schemes agree: {'yes' if agree else 'no'}")
-    blob = {"command": "dj", "results": results, "schemes_agree": agree}
-    _emit_results(args, blob, lines)
+    _render(args, {"command": "dj", "results": results, "schemes_agree": agree}, lines)
     return EXIT_OK
 
 
@@ -158,24 +157,22 @@ def cmd_bv(args) -> int:
         raise CLIError(f"hidden string must be bits, got {s!r}")
     if len(s) != 2:
         raise CLIError("walk schemes support hidden strings of length 2")
-    results = []
-    for scheme in _schemes(args.scheme):
+
+    def entry(scheme):
         out = alg.run_bv(s, scheme)
-        entry = {
-            "scheme": scheme,
+        return {
             "hidden": out.hidden,
             "recovered": out.recovered,
             "probability": out.probability,
             "distribution": dict(out.distribution),
         }
-        if args.dump_state:
-            entry["states"] = _dump_states(alg.hidden_string_fn(s), scheme)
-        results.append(entry)
+
+    results = _per_scheme(args, entry, lambda: alg.hidden_string_fn(s))
     lines = [
         f"{r['scheme']}: recovered={r['recovered']} p={r['probability']:.6f}"
         for r in results
     ]
-    _emit_results(args, {"command": "bv", "results": results}, lines)
+    _render(args, {"command": "bv", "results": results}, lines)
     return EXIT_OK
 
 
@@ -407,15 +404,12 @@ def cmd_verify(args) -> int:
     if args.perturb is not None and names and "photonic-fidelity" not in names:
         raise CLIError("perturb: only the photonic-fidelity suite reads --perturb")
     results = run_suites(names, perturb)
-    if args.format == "json":
-        rows = [{"suite": n, "passed": ok, "message": msg} for n, ok, msg in results]
-        text = json.dumps({"command": "verify", "results": rows}, indent=2)
-    else:
-        text = "\n".join(
-            f"{name}: {'pass' if ok else 'FAIL'}{(' -- ' + msg) if msg else ''}"
-            for name, ok, msg in results
-        )
-    _emit(text + "\n", args.output)
+    rows = [{"suite": n, "passed": ok, "message": msg} for n, ok, msg in results]
+    lines = [
+        f"{name}: {'pass' if ok else 'FAIL'}{(' -- ' + msg) if msg else ''}"
+        for name, ok, msg in results
+    ]
+    _render(args, {"command": "verify", "results": rows}, lines)
     failures = [(name, msg) for name, ok, msg in results if not ok]
     if failures:
         sys.stderr.write(f"first failure: {failures[0][0]}: {failures[0][1]}\n")
@@ -436,12 +430,10 @@ def cmd_report(args) -> int:
     if "bv" in algorithms:
         bv_fns = [(s, alg.hidden_string_fn(s)) for s, _ in alg.BV_STRINGS]
         rows += ph.resource_report(bv_fns, algorithm="bv")
-    if args.format == "json":
-        _emit(json.dumps({"rows": rows}, indent=2) + "\n", args.output)
-    elif args.output is None:
-        sys.stdout.write(ph.report_to_csv(rows))
-    elif _write_file(args.output, ph.report_to_csv(rows)):  # a sidecar only beside a regular file
-        _write_file(args.output + ".json", json.dumps({"rows": rows}, indent=2))
+    blob = {"rows": rows}
+    if _render(args, blob, ph.report_to_csv(rows).splitlines()) and args.format == "csv":
+        # a JSON sidecar only beside a regular file
+        _write_file(args.output + ".json", json.dumps(blob, indent=2))
     return EXIT_OK
 
 
@@ -470,11 +462,9 @@ def build_parser() -> _Parser:
     report.add_argument("--algorithms", default="dj,bv")
     report.set_defaults(func=cmd_report)
 
-    for p in (dj, bv, verify):
-        p.add_argument("--format", default="text", choices=("text", "json"))
+    for p, text in ((dj, "text"), (bv, "text"), (verify, "text"), (report, "csv")):
+        p.add_argument("--format", default=text, choices=(text, "json"))
         p.add_argument("--output", help="write output to this path")
-    report.add_argument("--format", default="csv", choices=("csv", "json"))
-    report.add_argument("--output", help="write output to this path")
     for p in (dj, bv):
         p.add_argument("--dump-state", action="store_true", dest="dump_state")
     return parser
@@ -484,15 +474,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except CLIError as exc:
+    except (CLIError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except alg.PromiseViolation as exc:
         sys.stderr.write(f"promise violated: {exc}\n")
         return EXIT_PROMISE
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":
