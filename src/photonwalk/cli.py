@@ -29,8 +29,8 @@ EXIT_PROMISE = 2
 EXIT_VERIFY = 3
 
 
-class CLIError(Exception):
-    """Malformed command-line input."""
+class CLIError(ValueError):
+    """Malformed command-line input; a ValueError to a library caller such as ``run_suites``."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -376,16 +376,21 @@ def _parse_perturb(spec: Optional[str]) -> dict:
 SUITE_ERRORS = (wc.WalkError, ph.CompileError, alg.PromiseViolation, ValueError)
 
 
+def _select_suites(names) -> list:
+    """The ``ALL_SUITES`` entries that ``names`` selects, in that order; None selects all."""
+    names = [names] if isinstance(names, str) else names  # one name, not its substrings
+    for name in names or ():
+        if name not in dict(ALL_SUITES):
+            raise CLIError(f"unknown suite {name!r}")
+    return [(name, fn) for name, fn in ALL_SUITES if names is None or name in names]
+
+
 def run_suites(names: Optional[Sequence[str]] = None, perturb: Optional[dict] = None):
-    """Run verification suites; returns (name, passed, message) triples."""
+    """Run the suites ``names`` selects: None all, a string one, else a sequence of names;
+    an unknown name raises ``ValueError``.  Returns (name, passed, message) triples."""
     perturb = perturb or {}
-    selected = [
-        (name, fn)
-        for name, fn in ALL_SUITES
-        if names is None or name in names
-    ]
     results = []
-    for name, fn in selected:
+    for name, fn in _select_suites(names):
         try:
             fn(perturb)
             results.append((name, True, ""))
@@ -397,13 +402,11 @@ def run_suites(names: Optional[Sequence[str]] = None, perturb: Optional[dict] = 
 
 
 def cmd_verify(args) -> int:
-    names = [args.suite] if args.suite is not None else None
-    if names and names[0] not in dict(ALL_SUITES):
-        raise CLIError(f"unknown suite {args.suite!r}")
+    _select_suites(args.suite)  # an unknown --suite is reported before a bad --perturb
     perturb = _parse_perturb(args.perturb)
-    if args.perturb is not None and names and "photonic-fidelity" not in names:
+    if args.perturb is not None and args.suite not in (None, "photonic-fidelity"):
         raise CLIError("perturb: only the photonic-fidelity suite reads --perturb")
-    results = run_suites(names, perturb)
+    results = run_suites(args.suite, perturb)
     rows = [{"suite": n, "passed": ok, "message": msg} for n, ok, msg in results]
     lines = [
         f"{name}: {'pass' if ok else 'FAIL'}{(' -- ' + msg) if msg else ''}"

@@ -310,6 +310,31 @@ class TestVerify:
         assert cli.SUITE_COUNT == 8
 
 
+class TestRunSuites:
+    @pytest.mark.parametrize(
+        "names, bad",
+        [
+            (["photonic-fidelty"], "photonic-fidelty"),
+            (["coin-unitarity", "norm"], "norm"),
+            ("coin-unitarity,dj-determinism", "coin-unitarity,dj-determinism"),
+            ("norm", "norm"),
+            ("", ""),
+        ],
+        ids=["misspelt", "one-of-two", "joined-string", "substring", "empty-string"],
+    )
+    def test_an_unknown_suite_raises_a_one_line_value_error(self, names, bad):
+        with pytest.raises(ValueError) as info:
+            cli.run_suites(names)
+        assert str(info.value) == f"unknown suite {bad!r}"
+
+    def test_a_string_names_one_suite(self):
+        assert cli.run_suites("coin-unitarity") == [("coin-unitarity", True, "")]
+
+    def test_names_run_in_registry_order(self):
+        results = cli.run_suites(["bv-exactness", "coin-unitarity", "bv-exactness"])
+        assert [name for name, _, _ in results] == ["coin-unitarity", "bv-exactness"]
+
+
 class TestReport:
     def test_row_counts(self, capsys):
         code, out, _ = run(capsys, "report", "--algorithms", "dj,bv")
