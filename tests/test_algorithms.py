@@ -304,6 +304,13 @@ class TestNoAuxOracle:
         np.testing.assert_array_equal(step.coin_map[0], np.diag([1.0, -1.0]))
         np.testing.assert_array_equal(step.coin_map[1], np.diag([-1.0, 1.0]))
 
+    @pytest.mark.parametrize("table", [(0, 1), (0, 0, 0, 0, 1, 1, 1, 1)], ids=["n=1", "n=3"])
+    def test_rejects_a_function_that_is_not_two_bit(self, table):
+        f = alg.BooleanFn(len(table).bit_length() - 1, table)
+        with pytest.raises(ValueError) as info:
+            alg.build_oracle_no_aux(f)
+        assert str(info.value) == "no-aux walk oracle is defined for 2-bit functions"
+
     @pytest.mark.parametrize("name", sorted(TABLE_1))
     def test_diagonal_phases(self, name):
         f = alg.BooleanFn(2, TABLE_1[name])

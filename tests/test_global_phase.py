@@ -16,3 +16,12 @@ def test_phase_taken_from_largest_entry():
     b = np.array([-1e-11, 1.0, 0.0])
     assert alg.equal_up_to_global_phase(a, b, tol=1e-10)
     assert alg.equal_up_to_global_phase(a, np.exp(0.4j) * b, tol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "b, equal",
+    [([0.0, 0.0], True), ([1e-10, -1e-10j], True), ([0.0, 2e-10], False), ([1.0, 0.0], False)],
+)
+def test_a_zero_a_equals_only_a_b_within_tol_of_zero(b, equal):
+    a = np.array([wc.MATCH_TOL / 2, -wc.MATCH_TOL])  # within MATCH_TOL of 0 everywhere
+    assert alg.equal_up_to_global_phase(a, np.array(b), tol=1e-10) is equal

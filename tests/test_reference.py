@@ -121,6 +121,12 @@ def test_reference_rejects_n_above_the_limit(scheme):
         alg.brute_force_reference(scheme, too_big)
 
 
+def test_reference_rejects_an_unknown_scheme():
+    with pytest.raises(ValueError) as info:
+        alg.brute_force_reference("bogus", alg.BooleanFn(2, (0, 0, 0, 0)))
+    assert str(info.value) == "unknown scheme: 'bogus'"
+
+
 @pytest.mark.parametrize("n", range(1, 15))
 def test_the_reference_is_exact_on_the_promise(n):
     """Unnormalised Hadamards keep every amplitude an integer until the one
