@@ -376,7 +376,7 @@ def _parse_perturb(spec: Optional[str]) -> dict:
 SUITE_ERRORS = (wc.WalkError, ph.CompileError, alg.PromiseViolation, ValueError)
 
 
-def _select_suites(names) -> list:
+def _select_suites(names: Optional[Sequence[str]]) -> list:
     """The ``ALL_SUITES`` entries that ``names`` selects, in that order; None selects all."""
     names = [names] if isinstance(names, str) else names  # one name, not its substrings
     for name in names or ():

@@ -159,44 +159,44 @@ def run_case(argv: list) -> dict:
         }
 
 
-def _mismatch(got, want, where: str = "") -> str:
-    """Where ``got`` differs from ``want``; floats may differ by ``FLOAT_TOL``."""
-    if type(got) is not type(want):
-        return f"{where}: {got!r} is not {want!r}"
+def assert_close(got, want, where: str = "") -> None:
+    """``got`` equals ``want``, dict keys in the same order, floats within ``FLOAT_TOL``."""
+    assert type(got) is type(want), f"{where}: {got!r} is not {want!r}"
     if isinstance(want, dict):
-        if list(got) != list(want):
-            return f"{where}: keys {list(got)} are not {list(want)}"
-        return next(filter(None, (_mismatch(got[k], want[k], f"{where}.{k}") for k in want)), "")
-    if isinstance(want, list):
-        if len(got) != len(want):
-            return f"{where}: {len(got)} items, not {len(want)}"
-        pairs = enumerate(zip(got, want))
-        return next(filter(None, (_mismatch(g, w, f"{where}[{i}]") for i, (g, w) in pairs)), "")
-    if isinstance(want, float) and abs(got - want) <= FLOAT_TOL:
-        return ""
-    return "" if got == want else f"{where}: {got!r} is not {want!r}"
+        assert list(got) == list(want), f"{where}: keys {list(got)} are not {list(want)}"
+        for key in want:
+            assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{where}: {len(got)} items, not {len(want)}"
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= FLOAT_TOL, f"{where}: {got!r} is not {want!r}"
+    else:
+        assert got == want, f"{where}: {got!r} is not {want!r}"
 
 
 @functools.lru_cache(maxsize=1)
-def _pinned() -> list:
+def pinned() -> list:
     return json.loads(PINNED.read_text())["cases"]
 
 
 def test_the_pinned_file_lists_every_case():
-    assert [case["argv"] for case in _pinned()] == CASES
+    assert [case["argv"] for case in pinned()] == CASES
 
 
 @pytest.mark.parametrize(
     "index", range(len(CASES)), ids=lambda i: " ".join(CASES[i]) or "(no arguments)"
 )
 def test_output_matches_the_pinned_file(index):
-    want = _pinned()[index]
+    want = pinned()[index]
     got = run_case(want["argv"])
     assert (got["exit"], got["stderr"]) == (want["exit"], want["stderr"])
-    assert _mismatch(got, want) == ""
+    assert_close(got, want)
 
 
 if __name__ == "__main__":
     cases = [run_case(argv) for argv in CASES]
-    PINNED.write_text('{"cases": [\n' + ",\n".join(map(json.dumps, cases)) + "\n]}\n")  # a case a line
+    lines = ",\n".join(map(json.dumps, cases))  # one case a line, so a diff names the case
+    PINNED.write_text('{"cases": [\n' + lines + "\n]}\n")
     sys.stdout.write(f"wrote {len(cases)} cases to {PINNED}\n")
