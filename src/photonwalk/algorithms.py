@@ -410,7 +410,7 @@ def _dj_final_state(f: BooleanFn, scheme: str) -> WalkState:
     norm = queried.norm()
     if not abs(_norm(amps) - norm) <= NORM_TOL * norm:  # NaN fails
         raise WalkError("final H layer did not preserve the state norm")
-    return WalkState(record.topology, amps)
+    return WalkState._from_checked(record.topology, amps)
 
 
 def _walk_probabilities(f: BooleanFn, scheme: str) -> np.ndarray:

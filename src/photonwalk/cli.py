@@ -319,9 +319,11 @@ def _suite_photonic_fidelity(perturb):
         dev = np.max(np.abs(ph.circuit_operator(ph.PhotonicCircuit(1, [(comp,)])) - coin))
         _check(dev <= wc.MATCH_TOL,
                f"{comp!r} is {dev:.3e} off its coin (tolerance {wc.MATCH_TOL:.0e})")
-    cases = [(name, f) for name, f in alg.two_bit_catalogue()]
-    cases += [(f"bv {s}", alg.hidden_string_fn(s)) for s, _ in alg.BV_STRINGS]
-    for name, f in cases:
+    bv = [(f"bv {s}", alg.hidden_string_fn(s)) for s, _ in alg.BV_STRINGS]
+    cases = {}  # one case per distinct table, under the first name that has it
+    for name, f in alg.two_bit_catalogue() + bv:
+        cases.setdefault(f, name)
+    for f, name in cases.items():
         for scheme in alg.SCHEMES:
             prog = alg.build_dj_program(f, scheme)
             circ = _perturbed(ph.compile(prog, scheme), perturb)
@@ -360,37 +362,40 @@ def _parse_perturb(spec: Optional[str]) -> dict:
         return {}
     try:
         key, value = spec.split("=", 1)
-        value = float(value)
+        return {key: float(value)}
     except ValueError as exc:
         raise CLIError(f"perturb: expected key=value, got {spec!r}") from exc
-    if key != "hwp":
-        raise CLIError(f"perturb: unknown key {key!r} (use hwp)")
-    if not np.isfinite(value):
-        raise CLIError(f"perturb: {key} must be a finite number")
-    if not np.isfinite(2 * value):  # hwp_jones doubles every plate angle
-        raise CLIError(f"perturb: |{key}| must be at most {sys.float_info.max / 2:.4g}")
-    return {key: value}
 
 
 # A suite that raises one of these fails with "<Type>: <message>"; others propagate.
 SUITE_ERRORS = (wc.WalkError, ph.CompileError, alg.PromiseViolation, ValueError)
 
 
-def _select_suites(names: Optional[Sequence[str]]) -> list:
-    """The ``ALL_SUITES`` entries that ``names`` selects, in that order; None selects all."""
+def _select_suites(names: Optional[Sequence[str]], perturb: dict) -> list:
+    """The ``ALL_SUITES`` entries that ``names`` selects, in that order (None selects all).
+    ``perturb`` must be empty or a finite ``hwp`` that one of them reads, else CLIError."""
     names = [names] if isinstance(names, str) else names  # one name, not its substrings
     for name in names or ():
         if name not in dict(ALL_SUITES):
             raise CLIError(f"unknown suite {name!r}")
+    for key, value in perturb.items():
+        if key != "hwp":
+            raise CLIError(f"perturb: unknown key {key!r} (use hwp)")
+        if not wc._is_finite_real(value):
+            raise CLIError(f"perturb: {key} must be a finite number")
+        if not wc._is_finite_real(2 * value):  # hwp_jones doubles every plate angle
+            raise CLIError(f"perturb: |{key}| must be at most {sys.float_info.max / 2:.4g}")
+    if perturb and names is not None and "photonic-fidelity" not in names:
+        raise CLIError("perturb: only the photonic-fidelity suite reads --perturb")
     return [(name, fn) for name, fn in ALL_SUITES if names is None or name in names]
 
 
 def run_suites(names: Optional[Sequence[str]] = None, perturb: Optional[dict] = None):
-    """Run the suites ``names`` selects: None all, a string one, else a sequence of names;
-    an unknown name raises ``ValueError``.  Returns (name, passed, message) triples."""
+    """Run the suites ``names`` selects (None all, a string one, else a sequence of names) and
+    return (name, passed, message) triples; what ``verify`` rejects raises ``ValueError``."""
     perturb = perturb or {}
     results = []
-    for name, fn in _select_suites(names):
+    for name, fn in _select_suites(names, perturb):
         try:
             fn(perturb)
             results.append((name, True, ""))
@@ -402,11 +407,8 @@ def run_suites(names: Optional[Sequence[str]] = None, perturb: Optional[dict] = 
 
 
 def cmd_verify(args) -> int:
-    _select_suites(args.suite)  # an unknown --suite is reported before a bad --perturb
-    perturb = _parse_perturb(args.perturb)
-    if args.perturb is not None and args.suite not in (None, "photonic-fidelity"):
-        raise CLIError("perturb: only the photonic-fidelity suite reads --perturb")
-    results = run_suites(args.suite, perturb)
+    _select_suites(args.suite, {})  # an unknown --suite is reported before a bad --perturb
+    results = run_suites(args.suite, _parse_perturb(args.perturb))
     rows = [{"suite": n, "passed": ok, "message": msg} for n, ok, msg in results]
     lines = [
         f"{name}: {'pass' if ok else 'FAIL'}{(' -- ' + msg) if msg else ''}"

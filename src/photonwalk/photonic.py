@@ -222,7 +222,7 @@ def simulate_photonic(circuit: PhotonicCircuit, state: WalkState) -> WalkState:
         amps = _kernel_matrix(_apply_stage, circuit.n_modes, stage).dot(amps)
         if not abs(_norm(amps) - norm) <= NORM_TOL * norm:  # NaN fails
             raise ValueError("stage did not preserve the state norm")
-    return WalkState(state.topology, amps)
+    return WalkState._from_checked(state.topology, amps)
 
 
 # Coin lowering alphabet: matrix pattern -> component factory (None = no optics).

@@ -224,6 +224,14 @@ class WalkState:
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
+    def _from_checked(cls, topology: Topology, amps: np.ndarray) -> "WalkState":
+        """Trusted path: the caller's own complex vector, past its norm check, made read-only."""
+        amps.setflags(write=False)
+        state = object.__new__(cls)
+        state.__dict__.update(topology=topology, amplitudes=amps)
+        return state
+
+    @classmethod
     def basis(cls, topology: Topology, coin: int, position: int) -> "WalkState":
         # bool and out-of-range values would index another amplitude silently.
         if not (_is_int(coin) and coin in (0, 1)):
@@ -345,7 +353,7 @@ def run_program(state: WalkState, steps: Sequence[WalkStep]) -> WalkState:
             norm = new_norm
         except WalkError as exc:
             raise type(exc)(f"step {i}: {exc}") from exc
-    return WalkState(topology, amps)
+    return WalkState._from_checked(topology, amps)
 
 
 def measure_position(state: WalkState) -> np.ndarray:

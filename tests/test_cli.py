@@ -335,6 +335,57 @@ class TestRunSuites:
         assert [name for name, _, _ in results] == ["coin-unitarity", "bv-exactness"]
 
 
+class TestRunSuitesPerturb:
+    """``run_suites`` rejects the perturbations that ``verify --perturb`` rejects, with
+    the CLI's messages, before any suite runs."""
+
+    @pytest.mark.parametrize(
+        "names, perturb, message",
+        [
+            (["photonic-fidelity"], {"HWP": 0.01}, "perturb: unknown key 'HWP' (use hwp)"),
+            (None, {"hwp": 0.01, "bs": 0.1}, "perturb: unknown key 'bs' (use hwp)"),
+            (["photonic-fidelity"], {"hwp": float("nan")}, "perturb: hwp must be a finite number"),
+            (None, {"hwp": float("-inf")}, "perturb: hwp must be a finite number"),
+            (None, {"hwp": "0.01"}, "perturb: hwp must be a finite number"),
+            (None, {"hwp": True}, "perturb: hwp must be a finite number"),
+            (None, {"hwp": 10**400}, "perturb: hwp must be a finite number"),
+            (None, {"hwp": 1e308}, "perturb: |hwp| must be at most 8.988e+307"),
+            (
+                ["coin-unitarity"], {"hwp": 0.5},
+                "perturb: only the photonic-fidelity suite reads --perturb",
+            ),
+            (
+                "bv-exactness", {"hwp": 0.0},
+                "perturb: only the photonic-fidelity suite reads --perturb",
+            ),
+            ([], {"hwp": 0.01}, "perturb: only the photonic-fidelity suite reads --perturb"),
+        ],
+        ids=[
+            "key-case", "second-key", "nan", "-inf", "str", "bool", "huge-int",
+            "double-overflows", "unread", "unread-zero", "no-suite",
+        ],
+    )
+    def test_a_perturbation_verify_rejects_raises_its_message(self, names, perturb, message):
+        with pytest.raises(cli.CLIError) as info:
+            cli.run_suites(names, perturb)
+        assert str(info.value) == message
+
+    def test_an_unknown_suite_is_reported_before_a_bad_perturbation(self):
+        with pytest.raises(ValueError, match="^unknown suite 'photonic'$"):
+            cli.run_suites(["photonic"], {"HWP": float("nan")})
+
+    @pytest.mark.parametrize("perturb", [None, {}])
+    def test_no_perturbation_runs_any_selection(self, perturb):
+        assert cli.run_suites(["coin-unitarity"], perturb) == [("coin-unitarity", True, "")]
+
+    def test_a_perturbation_runs_with_the_fidelity_suite_among_others(self):
+        results = cli.run_suites(["photonic-fidelity", "coin-unitarity"], {"hwp": 0.01})
+        assert results == [
+            ("coin-unitarity", True, ""),
+            ("photonic-fidelity", False, "photonic/walk mismatch for i/with-aux"),
+        ]
+
+
 class TestReport:
     def test_row_counts(self, capsys):
         code, out, _ = run(capsys, "report", "--algorithms", "dj,bv")

@@ -244,3 +244,47 @@ def test_other_errors_inside_a_suite_still_propagate(monkeypatch):
     monkeypatch.setattr(cli.wc, "build_coins", broken)
     with pytest.raises(RuntimeError, match="not a check"):
         cli.run_suites(["coin-unitarity"])
+
+
+def fidelity_compiles(monkeypatch):
+    """Run the photonic-fidelity suite; return its (table, scheme) per ``ph.compile`` call."""
+    union = [f for _, f in alg.two_bit_catalogue()] + [f for _, f in CASES]
+    calls = []
+    compile_ = ph.compile
+
+    def spy(program, scheme):
+        [table] = {f.table for f in union if alg.build_dj_program(f, scheme) == program}
+        calls.append((table, scheme))
+        return compile_(program, scheme)
+
+    monkeypatch.setattr(ph, "compile", spy)
+    assert cli.run_suites(["photonic-fidelity"]) == [("photonic-fidelity", True, "")]
+    return calls
+
+
+def test_the_fidelity_suite_compiles_each_distinct_case_once(monkeypatch):
+    calls = fidelity_compiles(monkeypatch)
+    want = {(f.table, scheme) for _, f in CASES for scheme in alg.SCHEMES}
+    assert len(want) == 16
+    assert len(calls) == 16
+    assert set(calls) == want
+
+
+def test_the_fidelity_suite_keeps_a_bv_table_the_catalogue_lacks(monkeypatch):
+    catalogue = [(name, f) for name, f in alg.two_bit_catalogue() if name != "vii"]
+    monkeypatch.setattr(alg, "two_bit_catalogue", lambda: list(catalogue))
+    calls = fidelity_compiles(monkeypatch)
+    assert len(calls) == 16
+    assert {(VII.table, scheme) for scheme in alg.SCHEMES} <= set(calls)
+
+
+@pytest.mark.parametrize("drop_vii, name", [(False, "vii"), (True, "bv 11")])
+def test_the_fidelity_suite_names_a_table_by_its_first_name(monkeypatch, drop_vii, name):
+    catalogue = [(n, f) for n, f in alg.two_bit_catalogue() if not (drop_vii and n == "vii")]
+    monkeypatch.setattr(alg, "two_bit_catalogue", lambda: list(catalogue))
+    dj_operator = alg._dj_operator
+    monkeypatch.setattr(
+        alg, "_dj_operator", lambda f, scheme: dj_operator(f, scheme) * (2 if f == VII else 1)
+    )
+    message = f"photonic/walk mismatch for {name}/with-aux"
+    assert cli.run_suites(["photonic-fidelity"]) == [("photonic-fidelity", False, message)]
