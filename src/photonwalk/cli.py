@@ -228,11 +228,15 @@ def _suite_norm_preservation(perturb):
     amps = raw[:, :8] + 1j * raw[:, 8:16]
     parts = raw[:, 16:].reshape(200, 2, 4)  # per coin: 4 real parts, then 4 imaginary
     coins, _ = np.linalg.qr((parts[:, 0] + 1j * parts[:, 1]).reshape(200, 2, 2))
+    wc._check_coins(coins)  # WalkStep's unitarity check, for all 200 coins at once
+    coins.setflags(write=False)
     shifts = [None, wc.s_plus(0), wc.s_minus(1)]
     for i, (a, u, p) in enumerate(zip(amps, draws[:, 48].tolist(), draws[:, 49].tolist())):
-        state = wc.WalkState(alg.CYCLE4, a / np.linalg.norm(a))
+        # Finite draws, checked coins: the states and steps take the trusted path.
+        state = wc.WalkState._from_checked(alg.CYCLE4, a / wc._norm(a))
         coin_map = dict(enumerate(coins[4 * i : 4 * i + 4]))
-        out = wc.run_program(state, [wc.WalkStep(coin_map, shifts[int(3 * u)], np.pi * p)])
+        step = wc.WalkStep._from_checked(coin_map, shifts[int(3 * u)], np.pi * p)
+        out = wc.run_program(state, [step])
         _check(abs(out.norm() - 1.0) <= wc.NORM_TOL, "norm drifted")
         pos = wc.measure_position(out)
         joint = wc.measure_joint(out)

@@ -50,6 +50,13 @@ def build_coins(angles) -> np.ndarray:
     cos, sin = et.real, et.imag
     entries = np.stack([eq * cos, er * sin, -er.conj() * sin, eq.conj() * cos], axis=1)
     coins = (g[:, None] * entries).reshape(-1, 2, 2)
+    _check_coins(coins)
+    return coins
+
+
+def _check_coins(coins: np.ndarray) -> None:
+    """Raise WalkError naming the first of (N, 2, 2) coins that is not unitary, with its
+    deviation (NaN for a non-finite entry)."""
     a, b, c, d = coins.reshape(-1, 4).T  # _unitary_deviation's closed form, row by row
     off = np.abs(a.conj() * b + c.conj() * d)
     col0, col1 = np.abs(a) ** 2 + np.abs(c) ** 2, np.abs(b) ** 2 + np.abs(d) ** 2
@@ -58,7 +65,6 @@ def build_coins(angles) -> np.ndarray:
     if bad.size:
         row = bad[0]
         raise WalkError(f"coin {row}: operator is not unitary (max deviation {devs[row]:.3e})")
-    return coins
 
 
 @dataclass(frozen=True)
@@ -181,6 +187,18 @@ class WalkStep:
                 raise WalkError(f"coin at position {l} is not unitary (max deviation {dev:.3e})")
             c.setflags(write=False)
             coins[int(l)] = c  # np.int64 -> int, as Shift
+        self._seal(coins)
+
+    @classmethod
+    def _from_checked(cls, coins: dict, shift: Optional[Shift], global_phase: float) -> "WalkStep":
+        """Trusted path: int positions to read-only 2x2 coins that the caller checked are
+        unitary (``_check_coins``), a Shift or None, and a finite float phase."""
+        step = object.__new__(cls)
+        step.__dict__.update(shift=shift, global_phase=global_phase, tag=None)
+        step._seal(coins)
+        return step
+
+    def _seal(self, coins: dict) -> None:
         object.__setattr__(self, "coin_map", MappingProxyType(coins))
         # Coins compare by bytes, so equal blocks built apart compare fast.
         content = tuple((l, c.dtype.str, c.tobytes()) for l, c in coins.items())
@@ -250,8 +268,10 @@ class WalkState:
 
 def _norm(v: np.ndarray) -> float:
     """``np.linalg.norm`` of a 1-D complex vector, the same two dot products
-    without its dispatch."""
-    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    without its dispatch; ``np.vdot`` sets no overflow warning, so a norm that
+    overflows is ``inf`` for the caller's norm check."""
+    r, i = v.real, v.imag
+    return math.sqrt(np.vdot(r, r) + np.vdot(i, i))
 
 
 def _unitary_deviation(m: np.ndarray) -> float:

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from photonwalk import algorithms as alg
 from photonwalk import cli
 from photonwalk import walk_core as wc
 
@@ -37,16 +38,34 @@ def test_norm_suite_steps_carry_the_per_case_draws(monkeypatch):
 
     def recording_run_program(state, steps):
         (step,) = steps
-        seen.append((state.amplitudes, step))
+        seen.append((state, step))
         return run_program(state, steps)
 
     monkeypatch.setattr(cli.wc, "run_program", recording_run_program)
     cli._suite_norm_preservation({})
     want = per_case_norm_draws()
     assert len(seen) == len(want) == 50
-    for (amps, step), (want_amps, want_step) in zip(seen, want):
-        np.testing.assert_array_equal(amps, want_amps)
-        assert step == want_step  # by content: coin bytes, shift and phase
+    for (state, step), (want_amps, want_step) in zip(seen, want):
+        # The trusted path builds what the public constructors would.
+        assert type(state) is wc.WalkState and state.topology is alg.CYCLE4
+        assert state.amplitudes.dtype == complex and not state.amplitudes.flags.writeable
+        np.testing.assert_array_equal(state.amplitudes, want_amps)
+        assert step == want_step and hash(step) == hash(want_step)  # coin bytes, shift, phase
+        assert step.tag is None and list(step.coin_map) == [0, 1, 2, 3]
+        assert not any(c.flags.writeable for c in step.coin_map.values())
+
+
+def test_norm_suite_still_checks_that_its_coins_are_unitary(monkeypatch):
+    qr = np.linalg.qr
+
+    def skewed(a):
+        q, r = qr(a)
+        q[137, 1, 0] *= 1 + 1e-9  # coin 1 of case 34
+        return q, r
+
+    monkeypatch.setattr(cli.np.linalg, "qr", skewed)
+    with pytest.raises(wc.WalkError, match=r"^coin 137: operator is not unitary \(max dev"):
+        cli._suite_norm_preservation({})
 
 
 def numpy_coin(p, q, r, theta):

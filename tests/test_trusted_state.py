@@ -2,6 +2,8 @@
 ``_dj_final_state`` return the state the public constructor would build from the
 vector their norm checks passed, without building it through those checks again."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -75,9 +77,28 @@ def test_a_state_whose_norm_overflows_never_leaves_the_state_path(topo):
     state = wc.WalkState(topo, amps)  # finite amplitudes: the constructor does not read the norm
     hadamard = wc.WalkStep(dict.fromkeys(range(topo.size), alg.COIN_HADAMARD))
     circuit = ph.PhotonicCircuit(topo.size, [(ph.HWP(np.pi / 8, 0),)])
-    with np.errstate(over="ignore"):  # the squares overflow in the norm's dot products
-        assert state.norm() == np.inf
-        with pytest.raises(wc.WalkError, match="^step 0: step did not preserve the state norm$"):
-            wc.run_program(state, [hadamard])
-        with pytest.raises(ValueError, match="^stage did not preserve the state norm$"):
-            ph.simulate_photonic(circuit, state)
+    assert state.norm() == np.inf  # the squares overflow, and under -W error warn nothing
+    with pytest.raises(wc.WalkError, match="^step 0: step did not preserve the state norm$"):
+        wc.run_program(state, [hadamard])
+    with pytest.raises(ValueError, match="^stage did not preserve the state norm$"):
+        ph.simulate_photonic(circuit, state)
+
+
+@pytest.mark.parametrize("shift", [None, wc.s_plus(0), wc.s_minus(1)], ids=["none", "+", "-"])
+def test_a_trusted_step_is_the_step_the_public_constructor_builds(shift):
+    coins = wc.build_coins([(0.1, 0.2, 0.3, 0.4), (0.5, -0.6, 0.7, -0.8)])
+    coins.setflags(write=False)
+    coin_map = {0: coins[0], 3: coins[1]}
+    step = wc.WalkStep._from_checked(dict(coin_map), shift, 0.25)
+    want = wc.WalkStep(coin_map, shift, 0.25)
+    assert step == want and hash(step) == hash(want)
+    assert (step.shift, step.global_phase, step.tag) == (shift, 0.25, None)
+    assert list(step.coin_map) == [0, 3]
+    assert all(step.coin_map[l] is c for l, c in coin_map.items())  # read-only already: no copy
+    with pytest.raises(TypeError):
+        step.coin_map[1] = coins[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        step.global_phase = 0.0
+    state = random_state(alg.CYCLE4, 3)
+    got, expect = wc.run_program(state, [step]), wc.run_program(state, [want])
+    assert got.amplitudes.tobytes() == expect.amplitudes.tobytes()

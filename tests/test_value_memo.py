@@ -181,7 +181,7 @@ def test_the_shift_suite_still_names_a_broken_shift(monkeypatch):
 def test_every_lru_cache_in_the_library_is_bounded():
     memos = {  # by object: a memo that another module imports by name counts once
         id(obj): (f"{mod.__name__}.{name}", obj)
-        for mod in (alg, ph, wc)
+        for mod in (alg, ph, wc, cli)
         for name, obj in vars(mod).items()
         if callable(getattr(obj, "cache_parameters", None))
     }
