@@ -407,10 +407,10 @@ def _dj_final_state(f: BooleanFn, scheme: str) -> WalkState:
     record = _scheme(scheme)
     queried = run_program(record.entering, _dj_oracle(f, scheme))
     amps = record.suffix_operator.dot(queried.amplitudes)
-    norm = queried.norm()
-    if not abs(_norm(amps) - norm) <= NORM_TOL * norm:  # NaN fails
+    norm, measured = queried.norm(), _norm(amps)
+    if not abs(measured - norm) <= NORM_TOL * norm:  # NaN fails
         raise WalkError("final H layer did not preserve the state norm")
-    return WalkState._from_checked(record.topology, amps)
+    return WalkState._from_checked(record.topology, amps, measured)
 
 
 def _walk_probabilities(f: BooleanFn, scheme: str) -> np.ndarray:

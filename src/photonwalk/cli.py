@@ -215,9 +215,15 @@ def _suite_shift_structure(perturb):
     shifts = [wc.s_plus(0), wc.s_plus(1), wc.s_minus(0), wc.s_minus(1)]
     for topo in topos:  # axis 0 is the shift, so axis 1 sums columns and axis 2 rows
         mags = np.abs([wc.program_operator([wc.WalkStep(shift=s)], topo) for s in shifts])
-        _check(np.all(np.isclose(mags.sum(axis=1), 1.0)), "not a permutation")
-        _check(np.all(np.isclose(mags.sum(axis=2), 1.0)), "not a permutation")
-        _check(np.all((mags < wc.EXACT_TOL) | (np.abs(mags - 1) < wc.EXACT_TOL)))
+        checks = {  # a permutation's sums are exactly 1.0
+            "a column sum is not 1": np.abs(mags.sum(axis=1) - 1) <= wc.EXACT_TOL,
+            "a row sum is not 1": np.abs(mags.sum(axis=2) - 1) <= wc.EXACT_TOL,
+            "an entry is not 0 or 1": (mags < wc.EXACT_TOL) | (np.abs(mags - 1) < wc.EXACT_TOL),
+        }
+        for what, ok in checks.items():
+            for shift, good in zip(shifts, ok.reshape(len(shifts), -1).all(axis=1).tolist()):
+                if not good:
+                    raise AssertionError(f"{shift} on {topo}: {what}, so it is not a permutation")
 
 
 def _suite_norm_preservation(perturb):
@@ -293,9 +299,10 @@ def _suite_dj_determinism(perturb):
 
 
 def _suite_bv_exactness(perturb):
+    catalogue = dict(alg.two_bit_catalogue())
     for s, dj_name in alg.BV_STRINGS:
         f = alg.hidden_string_fn(s)
-        dj_f = dict(alg.two_bit_catalogue())[dj_name]
+        dj_f = catalogue[dj_name]
         _check(f.table == dj_f.table, f"string {s} maps to wrong function")
         for scheme in alg.SCHEMES:
             out = alg.run_bv(s, scheme)
@@ -327,6 +334,7 @@ def _suite_photonic_fidelity(perturb):
     cases = {}  # one case per distinct table, under the first name that has it
     for name, f in alg.two_bit_catalogue() + bv:
         cases.setdefault(f, name)
+    starts = {s: wc.WalkState.basis(alg.scheme_topology(s), 0, 0) for s in alg.SCHEMES}
     for f, name in cases.items():
         for scheme in alg.SCHEMES:
             prog = alg.build_dj_program(f, scheme)
@@ -338,8 +346,7 @@ def _suite_photonic_fidelity(perturb):
                 ),
                 f"photonic/walk mismatch for {name}/{scheme}",
             )
-            start = wc.WalkState.basis(alg.scheme_topology(scheme), 0, 0)
-            probs = wc.measure_joint(ph.simulate_photonic(circ, start))
+            probs = wc.measure_joint(ph.simulate_photonic(circ, starts[scheme]))
             walk_probs = wc.measure_joint(alg._dj_final_state(f, scheme))
             _check(
                 np.max(np.abs(probs - walk_probs)) <= wc.FIDELITY_TOL,

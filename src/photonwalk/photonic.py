@@ -217,12 +217,13 @@ def simulate_photonic(circuit: PhotonicCircuit, state: WalkState) -> WalkState:
     if state.topology.size != circuit.n_modes:
         raise ValueError("state and circuit mode counts differ")
     amps = state.amplitudes
-    norm = state.norm()
+    norm = measured = state.norm()
     for stage in circuit.stages:
         amps = _kernel_matrix(_apply_stage, circuit.n_modes, stage).dot(amps)
-        if not abs(_norm(amps) - norm) <= NORM_TOL * norm:  # NaN fails
+        measured = _norm(amps)
+        if not abs(measured - norm) <= NORM_TOL * norm:  # NaN fails
             raise ValueError("stage did not preserve the state norm")
-    return WalkState._from_checked(state.topology, amps)
+    return WalkState._from_checked(state.topology, amps, measured)
 
 
 # Coin lowering alphabet: matrix pattern -> component factory (None = no optics).

@@ -212,17 +212,19 @@ class WalkStep:
         return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkState:
     """Amplitude vector over coin x position, coin-major flat index.
 
     The constructor checks the length (``2 * size``) and that every amplitude
     is finite, and stores a read-only complex copy; it does not check or fix
-    the norm.
+    the norm, which ``norm()`` measures once.  A state compares and hashes by
+    its topology and its amplitudes' bytes.
     """
 
     topology: Topology
     amplitudes: np.ndarray
+    _measured = None  # the norm, once measured; not a field
 
     def __post_init__(self) -> None:
         if not isinstance(self.topology, Topology):
@@ -242,11 +244,12 @@ class WalkState:
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
-    def _from_checked(cls, topology: Topology, amps: np.ndarray) -> "WalkState":
-        """Trusted path: the caller's own complex vector, past its norm check, made read-only."""
+    def _from_checked(cls, topology: Topology, amps: np.ndarray, norm=None) -> "WalkState":
+        """Trusted path: the caller's own complex vector, past its norm check, made
+        read-only, and its ``_norm`` if the caller measured it."""
         amps.setflags(write=False)
         state = object.__new__(cls)
-        state.__dict__.update(topology=topology, amplitudes=amps)
+        state.__dict__.update(topology=topology, amplitudes=amps, _measured=norm)
         return state
 
     @classmethod
@@ -263,7 +266,18 @@ class WalkState:
         return cls(topology, amps)
 
     def norm(self) -> float:
-        return _norm(self.amplitudes)
+        if self._measured is None:  # a zero state keeps its 0.0
+            object.__setattr__(self, "_measured", _norm(self.amplitudes))
+        return self._measured
+
+    def _content(self) -> tuple:
+        return self.topology, self.amplitudes.dtype.str, self.amplitudes.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, WalkState) and self._content() == other._content()
+
+    def __hash__(self) -> int:
+        return hash(self._content())
 
 
 def _norm(v: np.ndarray) -> float:
@@ -290,10 +304,20 @@ def _unitary_deviation(m: np.ndarray) -> float:
     return float(np.abs(d).max())
 
 
-def _check_unitary(m: np.ndarray) -> None:
-    dev = _unitary_deviation(m)
-    if not dev <= MATCH_TOL:  # NaN fails
-        raise WalkError(f"operator is not unitary (max deviation {dev:.3e})")
+def _check_products(products: list) -> None:
+    """Raise WalkError naming the first step whose running product is not unitary, with
+    the deviation ``_unitary_deviation`` gives it: one batched pass from three products."""
+    d = len(products[0]) if products else 0
+    if d > 2 and len(products) > 2:  # below three products, one by one is cheaper
+        ms = np.concatenate(products).reshape(-1, d, d)
+        g = ms.conj().transpose(0, 2, 1) @ ms
+        g.reshape(-1, d * d)[:, :: d + 1] -= 1
+        devs = np.abs(g).max(axis=(1, 2)).tolist()
+    else:  # 2x2 products keep Python's closed form, which numpy rounds differently
+        devs = [_unitary_deviation(m) for m in products]
+    for i, dev in enumerate(devs):
+        if not dev <= MATCH_TOL:  # NaN fails
+            raise WalkError(f"step {i}: operator is not unitary (max deviation {dev:.3e})")
 
 
 def evolve(amps: np.ndarray, step: WalkStep) -> None:
@@ -336,11 +360,16 @@ def program_operator(steps: Sequence[WalkStep], topology: Topology) -> np.ndarra
     Shifts on an open line include the wrap edge, so the operator equals
     ``run_program`` on every state that ``run_program`` accepts; ``evolve``
     reads only the size, so the step matrices are keyed by size, not kind.
+    Every running product must be unitary; all are checked after the fold.
     """
     m = np.eye(topology.dim, dtype=complex)
-    for step in steps:
-        m = _kernel_matrix(evolve, topology.size, step).dot(m)
-        _check_unitary(m)
+    products = []
+    try:
+        for step in steps:
+            m = _kernel_matrix(evolve, topology.size, step).dot(m)
+            products.append(m)
+    finally:  # a product that failed before a step raised is the fold's first error
+        _check_products(products)
     return m
 
 
@@ -373,7 +402,7 @@ def run_program(state: WalkState, steps: Sequence[WalkStep]) -> WalkState:
             norm = new_norm
         except WalkError as exc:
             raise type(exc)(f"step {i}: {exc}") from exc
-    return WalkState._from_checked(topology, amps)
+    return WalkState._from_checked(topology, amps, norm)
 
 
 def measure_position(state: WalkState) -> np.ndarray:

@@ -70,9 +70,9 @@ def test_operator_path_checks_unitarity_after_each_step():
     near = WalkStep({1: np.diag([1.0, 1.0 + 4e-13])})
     assert wc._unitary_deviation(near.coin_map[1]) <= wc.MATCH_TOL
     wc.program_operator([near], topo)
-    with pytest.raises(wc.WalkError, match=r"^operator is not unitary \(max deviation 1\.6"):
+    with pytest.raises(wc.WalkError, match=r"^step 1: operator is not unitary \(max deviation 1\.6"):
         wc.program_operator([near, near], topo)
-    with pytest.raises(wc.WalkError, match="not unitary"):
+    with pytest.raises(wc.WalkError, match="^step 2: operator is not unitary"):
         wc.program_operator([near, WalkStep(shift=wc.s_plus(0)), near], topo)
 
 

@@ -65,8 +65,9 @@ def test_nan_coin_is_rejected_when_the_step_is_built():
 def test_nan_in_any_coin_entry_fails_the_unitarity_check(entry):
     coin = np.eye(2, dtype=complex)
     coin.flat[entry] = complex(np.nan, 0.0) if entry % 2 else complex(0.0, np.nan)
-    with pytest.raises(wc.WalkError, match="not unitary"):
-        wc._check_unitary(coin)
+    message = re.escape("step 0: operator is not unitary (max deviation nan)")
+    with pytest.raises(wc.WalkError, match=f"^{message}$"):
+        wc._check_products([coin])
 
 
 def test_closed_form_deviation_matches_the_matrix_product():
@@ -309,3 +310,73 @@ def test_a_program_at_any_norm_runs_or_meets_a_boundary_or_a_range_error(
         assert re.fullmatch(r"step \d+: coin position \d outside a topology of size \d", str(exc))
         return
     assert abs(out.norm() - state.norm()) <= wc.NORM_TOL * state.norm()
+
+
+# --- program_operator checks its running products after the fold, in one pass
+
+
+def per_step_fold(steps, topology):
+    """program_operator as it checked each running product right after its step."""
+    m = np.eye(topology.dim, dtype=complex)
+    for i, step in enumerate(steps):
+        m = wc._kernel_matrix(wc.evolve, topology.size, step).dot(m)
+        dev = wc._unitary_deviation(m)
+        if not dev <= wc.MATCH_TOL:
+            raise wc.WalkError(f"step {i}: operator is not unitary (max deviation {dev:.3e})")
+    return m
+
+
+def nan_phase_step():
+    # WalkStep rejects a NaN phase, so the phase and the memo key built from it
+    # are put past that check.
+    step, nan = WalkStep(), float("nan")
+    object.__setattr__(step, "global_phase", nan)
+    object.__setattr__(step, "_key", (None, None, nan, ()))
+    object.__setattr__(step, "_hash", hash(step._key))
+    return step
+
+
+def outcome(fold, steps, topology):
+    """The operator's bytes, or the type and message of the error the fold raised."""
+    try:
+        return fold(steps, topology).tobytes()
+    except (wc.WalkError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# diag(1, 1 + eps) deviates by about 2 eps: each coin passes, and a few of them on one
+# position compound past MATCH_TOL.
+SKEWED_COINS = st.floats(1e-13, 4.9e-13).map(lambda eps: np.diag([1.0, 1.0 + eps]))
+SKEWED = WalkStep({0: np.diag([1.0, 1.0 + 4.9e-13])})
+
+
+@st.composite
+def folds(draw):
+    size = draw(st.integers(1, 5))  # size 1 folds 2x2 products; a shift there raises
+    topology = wc.Topology(draw(st.sampled_from((wc.OPEN_LINE, wc.CLOSED_CYCLE))), size)
+    step = st.builds(
+        WalkStep,
+        st.dictionaries(st.integers(0, size - 1), st.sampled_from(COINS) | SKEWED_COINS, max_size=3),
+        st.none() | st.builds(Shift, st.sampled_from((0, 1)), st.sampled_from((-1, 1))),
+        st.sampled_from((0.0, 0.5)),
+    )
+    steps = draw(st.lists(step, max_size=12))
+    # A step that raises in the fold (a coin out of range), or one whose product is NaN.
+    for extra in (WalkStep({size: alg.COIN_X}), nan_phase_step()):
+        if draw(st.integers(0, 3)) == 0:
+            steps.insert(draw(st.integers(0, len(steps))), extra)
+    return steps, topology
+
+
+@settings(deadline=None)
+@given(folds())
+@example(([SKEWED] * 4, CYCLE4))  # fails at step 1, batched
+@example(([SKEWED, SKEWED], wc.Topology(wc.CLOSED_CYCLE, 2)))  # fails at step 1, one by one
+@example(([SKEWED] * 3, wc.Topology(wc.OPEN_LINE, 1)))  # 2x2 products, one by one
+@example(([WalkStep(), WalkStep({4: alg.COIN_X})], CYCLE4))  # raises with every product unitary
+@example(([WalkStep(), nan_phase_step(), WalkStep(), WalkStep({4: alg.COIN_X})], CYCLE4))
+@example(([SKEWED] * 3 + [WalkStep(shift=wc.s_plus(0))], wc.Topology(wc.OPEN_LINE, 1)))
+@example(([SKEWED] * 3 + [WalkStep({4: alg.COIN_X})], CYCLE4))  # the product's error wins
+def test_the_batched_check_fails_where_and_as_the_per_step_fold_failed(fold):
+    steps, topology = fold
+    assert outcome(wc.program_operator, steps, topology) == outcome(per_step_fold, steps, topology)

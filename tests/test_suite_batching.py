@@ -108,3 +108,54 @@ def test_norm_suite_still_fails_on_a_drifting_step(monkeypatch):
     monkeypatch.setattr(cli.wc, "run_program", drifting)
     with pytest.raises(AssertionError, match="norm drifted"):
         cli._suite_norm_preservation({})
+
+
+def column_off(op):  # every entry of column 0 moves by 6e-16: its sum by 4.8e-15
+    out = op.copy()
+    out[:, 0] += 6e-16
+    return out
+
+
+def row_off(op):
+    out = op.copy()
+    out[0] += 6e-16
+    return out
+
+
+def spread(op):  # every sum exactly 1, no entry 0 or 1
+    return np.full(op.shape, 1 / len(op))
+
+
+@pytest.mark.parametrize(
+    "skew,what",
+    [(column_off, "a column sum is not 1"), (row_off, "a row sum is not 1"),
+     (spread, "an entry is not 0 or 1")],
+    ids=["column", "row", "entry"],
+)
+def test_shift_suite_names_the_topology_and_the_shift_that_fail(monkeypatch, skew, what):
+    program_operator, bad = wc.program_operator, wc.s_minus(0)
+
+    def skewed(steps, topology):
+        op = program_operator(steps, topology)
+        return skew(op) if topology == alg.LINE2 and steps[0].shift == bad else op
+
+    monkeypatch.setattr(cli.wc, "program_operator", skewed)
+    with pytest.raises(AssertionError) as info:
+        cli._suite_shift_structure({})
+    assert str(info.value) == f"{bad} on {alg.LINE2}: {what}, so it is not a permutation"
+
+
+def test_photonic_suite_builds_one_start_state_per_scheme(monkeypatch):
+    calls, basis = [], wc.WalkState.basis
+    monkeypatch.setattr(
+        wc.WalkState, "basis", classmethod(lambda cls, *args: calls.append(args) or basis(*args))
+    )
+    cli._suite_photonic_fidelity({})
+    assert calls == [(alg.scheme_topology(scheme), 0, 0) for scheme in alg.SCHEMES]
+
+
+def test_bv_suite_builds_the_catalogue_once(monkeypatch):
+    calls, catalogue = [], alg.two_bit_catalogue
+    monkeypatch.setattr(cli.alg, "two_bit_catalogue", lambda: calls.append(1) or catalogue())
+    cli._suite_bv_exactness({})
+    assert calls == [1]

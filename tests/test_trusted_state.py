@@ -102,3 +102,84 @@ def test_a_trusted_step_is_the_step_the_public_constructor_builds(shift):
     state = random_state(alg.CYCLE4, 3)
     got, expect = wc.run_program(state, [step]), wc.run_program(state, [want])
     assert got.amplitudes.tobytes() == expect.amplitudes.tobytes()
+
+
+# --- each producer hands its result the norm its last check measured
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """Calls to ``walk_core._norm``, which ``WalkState.norm`` measures with."""
+    calls, norm = [], wc._norm
+    monkeypatch.setattr(wc, "_norm", lambda v: calls.append(v) or norm(v))
+    return calls
+
+
+def zero_state(topology: wc.Topology) -> wc.WalkState:
+    return wc.WalkState(topology, np.zeros(topology.dim))
+
+
+PRODUCERS = {
+    "run_program": lambda s: wc.run_program(s, alg.build_dj_program(FNS["vii"], alg.WITH_AUX)),
+    "run_program-no-steps": lambda s: wc.run_program(s, []),
+    "simulate_photonic": lambda s: ph.simulate_photonic(
+        ph.compile(alg.build_dj_program(FNS["iii"], alg.WITH_AUX), alg.WITH_AUX), s
+    ),
+    "simulate_photonic-no-stages": lambda s: ph.simulate_photonic(ph.PhotonicCircuit(4, ()), s),
+}
+
+
+@pytest.mark.parametrize("start", ["random", "zero"])
+@pytest.mark.parametrize("name", PRODUCERS)
+def test_a_produced_state_carries_the_norm_of_its_amplitudes(name, start, norm_calls):
+    state = random_state(alg.CYCLE4, 5) if start == "random" else zero_state(alg.CYCLE4)
+    out = PRODUCERS[name](state)
+    del norm_calls[:]
+    norm = out.norm()
+    assert not norm_calls  # carried, not measured again
+    assert type(norm) is float and norm == wc._norm(out.amplitudes)
+    assert (norm == 0.0) == (start == "zero")
+
+
+@pytest.mark.parametrize("scheme", alg.SCHEMES)
+@pytest.mark.parametrize("name,f", CASES, ids=[name for name, _ in CASES])
+def test_the_final_dj_state_carries_the_norm_of_its_amplitudes(name, f, scheme, norm_calls):
+    out = alg._dj_final_state(f, scheme)
+    del norm_calls[:]
+    norm = out.norm()
+    assert not norm_calls
+    assert type(norm) is float and norm == wc._norm(out.amplitudes)
+
+
+@pytest.mark.parametrize("build", ["public", "trusted"])
+@pytest.mark.parametrize("start", ["random", "zero"])
+def test_a_state_without_a_carried_norm_measures_it_once(build, start, norm_calls):
+    amps = (random_state(alg.LINE2, 9) if start == "random" else zero_state(alg.LINE2)).amplitudes
+    if build == "public":
+        state = wc.WalkState(alg.LINE2, amps)
+    else:
+        state = wc.WalkState._from_checked(alg.LINE2, amps.copy())
+    assert not norm_calls  # no constructor measures the norm
+    first, second = state.norm(), state.norm()
+    assert len(norm_calls) == 1  # a zero state keeps its 0.0 too
+    assert first == second == wc._norm(amps)
+    assert (first == 0.0) == (start == "zero")
+
+
+# --- a state is a value
+
+
+def test_states_compare_and_hash_by_topology_and_amplitude_bytes():
+    state = wc.WalkState.basis(alg.CYCLE4, 1, 2)
+    twin = wc.WalkState(alg.CYCLE4, np.eye(8)[6])
+    assert vars(state).keys() == {"topology", "amplitudes"}  # nothing computed when built
+    assert state == twin and hash(state) == hash(twin) and len({state, twin}) == 1
+    twin.norm()
+    assert state == twin and hash(state) == hash(twin)  # a measured norm is not compared
+    assert state != wc.WalkState.basis(alg.CYCLE4, 1, 3)
+    assert state != wc.WalkState(wc.Topology(wc.OPEN_LINE, 4), np.eye(8)[6])  # same dim
+    assert state != state.amplitudes and state != "state"
+    out = wc.run_program(state, [wc.WalkStep({2: alg.COIN_HADAMARD}, wc.s_plus(0))])
+    assert out == wc.WalkState(alg.CYCLE4, out.amplitudes)  # trusted equals public
+    assert hash(out) == hash(wc.WalkState(alg.CYCLE4, out.amplitudes))
+    assert {out: "x"}[wc.WalkState(alg.CYCLE4, out.amplitudes.copy())] == "x"
