@@ -234,7 +234,7 @@ def _suite_norm_preservation(perturb):
     amps = raw[:, :8] + 1j * raw[:, 8:16]
     parts = raw[:, 16:].reshape(200, 2, 4)  # per coin: 4 real parts, then 4 imaginary
     coins, _ = np.linalg.qr((parts[:, 0] + 1j * parts[:, 1]).reshape(200, 2, 2))
-    wc._check_coins(coins)  # WalkStep's unitarity check, for all 200 coins at once
+    wc._check_unitary(coins, "coin {}: operator".format)  # WalkStep's check, on all 200
     coins.setflags(write=False)
     shifts = [None, wc.s_plus(0), wc.s_minus(1)]
     for i, (a, u, p) in enumerate(zip(amps, draws[:, 48].tolist(), draws[:, 49].tolist())):
@@ -386,8 +386,12 @@ def _select_suites(names: Optional[Sequence[str]], perturb: dict) -> list:
     """The ``ALL_SUITES`` entries that ``names`` selects, in that order (None selects all).
     ``perturb`` must be empty or a finite ``hwp`` that one of them reads, else CLIError."""
     names = [names] if isinstance(names, str) else names  # one name, not its substrings
+    try:
+        names = None if names is None else list(names)
+    except TypeError:
+        raise CLIError(f"suites must be a str or iterable, got {type(names).__name__}") from None
     for name in names or ():
-        if name not in dict(ALL_SUITES):
+        if not (isinstance(name, str) and name in dict(ALL_SUITES)):  # a list is unhashable
             raise CLIError(f"unknown suite {name!r}")
     for key, value in perturb.items():
         if key != "hwp":

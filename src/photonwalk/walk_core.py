@@ -50,21 +50,32 @@ def build_coins(angles) -> np.ndarray:
     cos, sin = et.real, et.imag
     entries = np.stack([eq * cos, er * sin, -er.conj() * sin, eq.conj() * cos], axis=1)
     coins = (g[:, None] * entries).reshape(-1, 2, 2)
-    _check_coins(coins)
+    _check_unitary(coins, "coin {}: operator".format)
     return coins
 
 
-def _check_coins(coins: np.ndarray) -> None:
-    """Raise WalkError naming the first of (N, 2, 2) coins that is not unitary, with its
-    deviation (NaN for a non-finite entry)."""
-    a, b, c, d = coins.reshape(-1, 4).T  # _unitary_deviation's closed form, row by row
-    off = np.abs(a.conj() * b + c.conj() * d)
-    col0, col1 = np.abs(a) ** 2 + np.abs(c) ** 2, np.abs(b) ** 2 + np.abs(d) ** 2
-    devs = np.maximum(np.maximum(off, np.abs(col0 - 1)), np.abs(col1 - 1))  # NaN stays NaN
-    bad = np.flatnonzero(~(devs <= MATCH_TOL))  # NaN fails
-    if bad.size:
-        row = bad[0]
-        raise WalkError(f"coin {row}: operator is not unitary (max deviation {devs[row]:.3e})")
+def _check_unitary(ms, name) -> np.ndarray:
+    """Each (N, d, d) matrix's largest |m^dagger m - I| entry, cast to complex: closed form
+    for 2x2, else a Gram (2-D for one matrix; batched, same bits, for more).  The first over
+    MATCH_TOL raises WalkError, named ``name(i)``, with its deviation (NaN if non-finite)."""
+    ms = np.asarray(ms, dtype=complex)
+    n, dim = len(ms), ms.shape[-1]
+    if dim == 2:
+        with np.errstate(all="ignore"):  # a coin's inf or huge entry is a deviation, not a warning
+            a, b, c, d = ms.reshape(n, 4).T
+            off = np.abs(a.conj() * b + c.conj() * d)
+            col0, col1 = np.abs(a) ** 2 + np.abs(c) ** 2, np.abs(b) ** 2 + np.abs(d) ** 2
+            devs = np.maximum(np.maximum(off, np.abs(col0 - 1)), np.abs(col1 - 1))
+    else:  # a fold's running products, of checked steps: bounded, so no errstate
+        g = ms[0].conj().T.dot(ms[0]) if n == 1 else ms.conj().transpose(0, 2, 1) @ ms
+        g = g.reshape(n, -1)
+        g[:, :: dim + 1] -= 1  # the diagonal alone
+        devs = np.abs(g).max(axis=1)
+    for i, dev in enumerate(devs.tolist()):
+        if not dev <= MATCH_TOL:  # NaN fails; an inf entry fails as inf or NaN
+            dev = dev if np.isfinite(ms[i]).all() else math.nan
+            raise WalkError(f"{name(i)} is not unitary (max deviation {dev:.3e})")
+    return devs
 
 
 @dataclass(frozen=True)
@@ -182,17 +193,16 @@ class WalkStep:
                 raise WalkError(f"coin at position {l} has shape {c.shape}, not (2, 2)")
             if c.dtype.kind not in "biufc":  # strings, None, object arrays
                 raise WalkError(f"coin at position {l} is not numeric")
-            dev = _unitary_deviation(c)
-            if not dev <= MATCH_TOL:  # NaN fails
-                raise WalkError(f"coin at position {l} is not unitary (max deviation {dev:.3e})")
             c.setflags(write=False)
             coins[int(l)] = c  # np.int64 -> int, as Shift
+        if coins:
+            _check_unitary(list(coins.values()), lambda i: f"coin at position {list(coins)[i]}")
         self._seal(coins)
 
     @classmethod
     def _from_checked(cls, coins: dict, shift: Optional[Shift], global_phase: float) -> "WalkStep":
         """Trusted path: int positions to read-only 2x2 coins that the caller checked are
-        unitary (``_check_coins``), a Shift or None, and a finite float phase."""
+        unitary (``_check_unitary``), a Shift or None, and a finite float phase."""
         step = object.__new__(cls)
         step.__dict__.update(shift=shift, global_phase=global_phase, tag=None)
         step._seal(coins)
@@ -288,38 +298,6 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(np.vdot(r, r) + np.vdot(i, i))
 
 
-def _unitary_deviation(m: np.ndarray) -> float:
-    """Largest entry of |m^dagger m - I|, NaN if m holds a NaN; closed form for 2x2."""
-    if m.shape == (2, 2):
-        a, b, c, d = m.ravel().tolist()
-        # The off-diagonal term goes first: it is NaN whenever an entry is,
-        # and max() keeps a NaN first argument.
-        return max(
-            abs(a.conjugate() * b + c.conjugate() * d),
-            abs(abs(a) ** 2 + abs(c) ** 2 - 1),
-            abs(abs(b) ** 2 + abs(d) ** 2 - 1),
-        )
-    d = m.conj().T.dot(m)
-    d.reshape(-1)[:: len(d) + 1] -= 1  # the diagonal alone: z - 0 is exact anyway
-    return float(np.abs(d).max())
-
-
-def _check_products(products: list) -> None:
-    """Raise WalkError naming the first step whose running product is not unitary, with
-    the deviation ``_unitary_deviation`` gives it: one batched pass from three products."""
-    d = len(products[0]) if products else 0
-    if d > 2 and len(products) > 2:  # below three products, one by one is cheaper
-        ms = np.concatenate(products).reshape(-1, d, d)
-        g = ms.conj().transpose(0, 2, 1) @ ms
-        g.reshape(-1, d * d)[:, :: d + 1] -= 1
-        devs = np.abs(g).max(axis=(1, 2)).tolist()
-    else:  # 2x2 products keep Python's closed form, which numpy rounds differently
-        devs = [_unitary_deviation(m) for m in products]
-    for i, dev in enumerate(devs):
-        if not dev <= MATCH_TOL:  # NaN fails
-            raise WalkError(f"step {i}: operator is not unitary (max deviation {dev:.3e})")
-
-
 def evolve(amps: np.ndarray, step: WalkStep) -> None:
     """Apply one step in place to ``amps``, a (2, size, ...) coin x position view.
 
@@ -360,7 +338,7 @@ def program_operator(steps: Sequence[WalkStep], topology: Topology) -> np.ndarra
     Shifts on an open line include the wrap edge, so the operator equals
     ``run_program`` on every state that ``run_program`` accepts; ``evolve``
     reads only the size, so the step matrices are keyed by size, not kind.
-    Every running product must be unitary; all are checked after the fold.
+    Every running product must be unitary, checked after the fold; errors name the step.
     """
     m = np.eye(topology.dim, dtype=complex)
     products = []
@@ -368,8 +346,11 @@ def program_operator(steps: Sequence[WalkStep], topology: Topology) -> np.ndarra
         for step in steps:
             m = _kernel_matrix(evolve, topology.size, step).dot(m)
             products.append(m)
+    except WalkError as exc:  # raised by the step after the last product
+        raise type(exc)(f"step {len(products)}: {exc}") from exc
     finally:  # a product that failed before a step raised is the fold's first error
-        _check_products(products)
+        if products:
+            _check_unitary(products, "step {}: operator".format)
     return m
 
 

@@ -327,6 +327,24 @@ class TestRunSuites:
             cli.run_suites(names)
         assert str(info.value) == f"unknown suite {bad!r}"
 
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (5, "suites must be a str or iterable, got int"),
+            (5.0, "suites must be a str or iterable, got float"),
+            ([["a"]], "unknown suite ['a']"),
+            ([5], "unknown suite 5"),
+        ],
+        ids=["int", "float", "nested-list", "int-name"],
+    )
+    def test_names_that_are_not_strings_raise_a_one_line_cli_error(self, names, message):
+        with pytest.raises(cli.CLIError) as info:
+            cli.run_suites(names)
+        assert str(info.value) == message
+
+    def test_an_iterator_of_names_runs_its_suites(self):
+        assert cli.run_suites(iter(["coin-unitarity"])) == [("coin-unitarity", True, "")]
+
     def test_a_string_names_one_suite(self):
         assert cli.run_suites("coin-unitarity") == [("coin-unitarity", True, "")]
 

@@ -68,7 +68,7 @@ def test_operator_path_checks_unitarity_after_each_step():
     # Each step passes at 8.0e-13; two of them compound to 1.6e-12.
     topo = Topology(wc.CLOSED_CYCLE, 3)
     near = WalkStep({1: np.diag([1.0, 1.0 + 4e-13])})
-    assert wc._unitary_deviation(near.coin_map[1]) <= wc.MATCH_TOL
+    assert wc._check_unitary(near.coin_map[1][None], str)[0] <= wc.MATCH_TOL
     wc.program_operator([near], topo)
     with pytest.raises(wc.WalkError, match=r"^step 1: operator is not unitary \(max deviation 1\.6"):
         wc.program_operator([near, near], topo)

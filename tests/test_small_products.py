@@ -3,6 +3,7 @@ values of the ``@`` / ``np.linalg.norm`` code they stand for, and the blocks tha
 do not depend on f are shared by identity through bounded, read-only memos."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -164,17 +165,20 @@ def test_random_coins_give_the_old_products():
         assert np.array_equal(wc.program_operator([step], topo), old_step_matrix(topo, step))
 
 
-def test_unitary_deviation_equals_the_old_formula():
+def test_unitary_deviation_equals_the_old_formula(monkeypatch):
+    monkeypatch.setattr(wc, "MATCH_TOL", math.inf)  # return every deviation, raise on none
     rng = np.random.default_rng(16)
     for n in (3, 4, 8, 10):
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         q, _ = np.linalg.qr(m)
         for a in (m, q, np.eye(n, dtype=complex), -1j * np.eye(n)):
             want = float(np.max(np.abs(a.conj().T @ a - np.eye(n))))
-            assert wc._unitary_deviation(a) == want
+            assert wc._check_unitary(a[None], str)[0] == want
+            assert wc._check_unitary([a, q, a], str).tolist()[::2] == [want, want]  # batched
     nan = np.eye(4, dtype=complex)
     nan[1, 2] = np.nan
-    assert np.isnan(wc._unitary_deviation(nan))
+    with pytest.raises(wc.WalkError, match=r"^0 is not unitary \(max deviation nan\)$"):
+        wc._check_unitary(nan[None], str)
 
 
 # --- the new memos

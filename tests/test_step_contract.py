@@ -3,12 +3,14 @@ phases and coins, and coin positions and shapes, each made when a step is built;
 and the norm and boundary checks, which scale with the state's norm."""
 
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from photonwalk import algorithms as alg
 from photonwalk import photonic as ph
@@ -67,17 +69,18 @@ def test_nan_in_any_coin_entry_fails_the_unitarity_check(entry):
     coin.flat[entry] = complex(np.nan, 0.0) if entry % 2 else complex(0.0, np.nan)
     message = re.escape("step 0: operator is not unitary (max deviation nan)")
     with pytest.raises(wc.WalkError, match=f"^{message}$"):
-        wc._check_products([coin])
+        wc._check_unitary([coin], "step {}: operator".format)
 
 
-def test_closed_form_deviation_matches_the_matrix_product():
+def test_closed_form_deviation_matches_the_matrix_product(monkeypatch):
+    monkeypatch.setattr(wc, "MATCH_TOL", math.inf)  # return every deviation, raise on none
     rng = np.random.default_rng(11)
     for scale in (1e-14, 1e-9, 1.0):
         for _ in range(100):
             q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
             m = q + scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
             want = np.max(np.abs(m.conj().T @ m - np.eye(2)))
-            assert abs(wc._unitary_deviation(m) - want) <= 1e-15 + 1e-12 * want
+            assert abs(wc._check_unitary(m[None], str)[0] - want) <= 1e-15 + 1e-12 * want
 
 
 def test_non_unitary_coin_is_rejected_when_the_step_is_built():
@@ -96,7 +99,7 @@ def test_each_coin_is_checked_for_position_then_shape_then_unitarity():
     step = WalkStep({0: alg.COIN_X, 7: alg.COIN_X})
     with pytest.raises(wc.WalkError, match="^step 0: coin position 7 outside a topology of size 4$"):
         wc.run_program(WalkState.basis(CYCLE4, 0, 0), [step])
-    with pytest.raises(wc.WalkError, match="^coin position 7 outside a topology of size 4$"):
+    with pytest.raises(wc.WalkError, match="^step 1: coin position 7 outside a topology of size 4$"):
         wc.program_operator([WalkStep(), step], CYCLE4)
 
 
@@ -319,10 +322,11 @@ def per_step_fold(steps, topology):
     """program_operator as it checked each running product right after its step."""
     m = np.eye(topology.dim, dtype=complex)
     for i, step in enumerate(steps):
-        m = wc._kernel_matrix(wc.evolve, topology.size, step).dot(m)
-        dev = wc._unitary_deviation(m)
-        if not dev <= wc.MATCH_TOL:
-            raise wc.WalkError(f"step {i}: operator is not unitary (max deviation {dev:.3e})")
+        try:
+            m = wc._kernel_matrix(wc.evolve, topology.size, step).dot(m)
+        except wc.WalkError as exc:
+            raise type(exc)(f"step {i}: {exc}") from exc
+        wc._check_unitary(m[None], lambda _: f"step {i}: operator")
     return m
 
 
@@ -380,3 +384,61 @@ def folds(draw):
 def test_the_batched_check_fails_where_and_as_the_per_step_fold_failed(fold):
     steps, topology = fold
     assert outcome(wc.program_operator, steps, topology) == outcome(per_step_fold, steps, topology)
+
+
+# --- one unitarity check for a step's coins, a stack of coins and a fold's products
+
+INT_DTYPES = (np.uint8, np.int8, np.int32, np.int64, np.uint64)
+UINT8_COIN = np.array([[0, 0], [0, 1]], dtype=np.uint8)  # |a|^2 + |c|^2 - 1 wrapped to 255
+
+
+@st.composite
+def near_unitary_coins(draw):
+    """2x2 matrices on either side of MATCH_TOL: QR unitaries with each entry scaled by
+    1 + U(0, 2e-12), integer matrices, and unitaries with a NaN or infinite part."""
+    kind = draw(st.sampled_from(("skewed", "integer", "non-finite")))
+    if kind == "integer":
+        return draw(hnp.arrays(st.sampled_from(INT_DTYPES), (2, 2)))
+    parts = np.array(draw(st.lists(st.floats(-1, 1), min_size=8, max_size=8)))
+    q, _ = np.linalg.qr((parts[:4] + 1j * parts[4:]).reshape(2, 2))
+    if kind == "skewed":
+        skews = draw(st.lists(st.floats(0, 2e-12), min_size=4, max_size=4))
+        return q * (1 + np.reshape(skews, (2, 2)))
+    bad = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+    entry = draw(st.integers(0, 3))
+    q.flat[entry] = complex(bad, q.flat[entry].imag) if draw(st.booleans()) else complex(0, bad)
+    return q
+
+
+def unitarity_outcome(check, *args):
+    """None if the check passed, else the deviation its message printed."""
+    try:
+        check(*args)
+    except wc.WalkError as exc:
+        return re.fullmatch(r".* is not unitary \(max deviation (\S+)\)", str(exc)).group(1)
+    return None
+
+
+def one_coin_fold(m):
+    # WalkStep rejects what is not unitary, so the coin is put past that check; the
+    # fold's own product of an inf entry with 0 warns before the check sees its NaN.
+    coin = np.array(m)
+    coin.setflags(write=False)
+    step = WalkStep._from_checked({0: coin}, None, 0.0)
+    with np.errstate(invalid="ignore"):
+        wc.program_operator([step], wc.Topology(wc.CLOSED_CYCLE, 1))
+
+
+@settings(deadline=None)
+@given(near_unitary_coins())
+@example(UINT8_COIN)
+@example(np.array([[0, 1], [1, 0]], dtype=np.int64))
+@example(np.array([[np.inf, 1.0], [1.0, 1.0]]))  # inf in the closed form, NaN in the fold
+@example(np.array([[1e200, 0.0], [0.0, 1.0]]))  # OverflowError from WalkStep once
+def test_a_coin_a_coin_stack_and_a_fold_accept_or_reject_it_together(m):
+    deviation = unitarity_outcome(WalkStep, {0: m})
+    assert unitarity_outcome(wc._check_unitary, m[None], str) == deviation
+    assert unitarity_outcome(wc._check_unitary, m.astype(complex)[None], str) == deviation
+    assert unitarity_outcome(one_coin_fold, m) == deviation
+    if m is UINT8_COIN:
+        assert deviation == "1.000e+00"
