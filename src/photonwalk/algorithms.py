@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable
 
@@ -458,24 +458,7 @@ class _BitLabelView(Mapping):
         return len(self._probs)
 
     def __repr__(self) -> str:
-        return repr(dict(self.items()))
-
-    # Both read the array once; the mixins would format and parse every label.
-    def values(self) -> ValuesView:
-        return _BitLabelValues(self)
-
-    def items(self) -> ItemsView:
-        return _BitLabelItems(self)
-
-
-class _BitLabelValues(ValuesView):
-    def __iter__(self):
-        return iter(self._mapping._probs.tolist())
-
-
-class _BitLabelItems(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping, self._mapping._probs.tolist())
+        return repr(dict(zip(self, self._probs.tolist())))  # the array read once, no lookups
 
 
 def run_bv(s: str, scheme: str) -> BVOutcome:

@@ -14,8 +14,9 @@ import os
 import random
 import stat
 import sys
+from collections.abc import Mapping, Sequence
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -393,6 +394,8 @@ def _select_suites(names: Optional[Sequence[str]], perturb: dict) -> list:
     for name in names or ():
         if not (isinstance(name, str) and name in dict(ALL_SUITES)):  # a list is unhashable
             raise CLIError(f"unknown suite {name!r}")
+    if not isinstance(perturb, Mapping):
+        raise CLIError(f"perturb must be a mapping, got {type(perturb).__name__}")
     for key, value in perturb.items():
         if key != "hwp":
             raise CLIError(f"perturb: unknown key {key!r} (use hwp)")
@@ -408,7 +411,7 @@ def _select_suites(names: Optional[Sequence[str]], perturb: dict) -> list:
 def run_suites(names: Optional[Sequence[str]] = None, perturb: Optional[dict] = None):
     """Run the suites ``names`` selects (None all, a string one, else a sequence of names) and
     return (name, passed, message) triples; what ``verify`` rejects raises ``ValueError``."""
-    perturb = perturb or {}
+    perturb = {} if perturb is None else perturb
     results = []
     for name, fn in _select_suites(names, perturb):
         try:

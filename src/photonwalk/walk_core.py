@@ -56,8 +56,8 @@ def build_coins(angles) -> np.ndarray:
 
 def _check_unitary(ms, name) -> np.ndarray:
     """Each (N, d, d) matrix's largest |m^dagger m - I| entry, cast to complex: closed form
-    for 2x2, else a Gram (2-D for one matrix; batched, same bits, for more).  The first over
-    MATCH_TOL raises WalkError, named ``name(i)``, with its deviation (NaN if non-finite)."""
+    for 2x2, else a batched Gram.  The first over MATCH_TOL raises WalkError, named
+    ``name(i)``, with its deviation (NaN if non-finite)."""
     ms = np.asarray(ms, dtype=complex)
     n, dim = len(ms), ms.shape[-1]
     if dim == 2:
@@ -67,7 +67,7 @@ def _check_unitary(ms, name) -> np.ndarray:
             col0, col1 = np.abs(a) ** 2 + np.abs(c) ** 2, np.abs(b) ** 2 + np.abs(d) ** 2
             devs = np.maximum(np.maximum(off, np.abs(col0 - 1)), np.abs(col1 - 1))
     else:  # a fold's running products, of checked steps: bounded, so no errstate
-        g = ms[0].conj().T.dot(ms[0]) if n == 1 else ms.conj().transpose(0, 2, 1) @ ms
+        g = ms.conj().transpose(0, 2, 1) @ ms
         g = g.reshape(n, -1)
         g[:, :: dim + 1] -= 1  # the diagonal alone
         devs = np.abs(g).max(axis=1)
@@ -171,7 +171,6 @@ class WalkStep:
     global_phase: float = 0.0
     tag: Optional[str] = None
     _key: tuple = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # Type names, not reprs: an array's repr spans lines.
@@ -213,13 +212,12 @@ class WalkStep:
         # Coins compare by bytes, so equal blocks built apart compare fast.
         content = tuple((l, c.dtype.str, c.tobytes()) for l, c in coins.items())
         object.__setattr__(self, "_key", (self.tag, self.shift, self.global_phase, content))
-        object.__setattr__(self, "_hash", hash(self._key))  # once, not per memo lookup
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WalkStep) and self._key == other._key
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._key)
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,7 +245,7 @@ class WalkState:
             raise DimensionMismatch(
                 f"expected {self.topology.dim} amplitudes, got {amps.shape}"
             )
-        if not all(np.isfinite(amps).tolist()):  # a third of ndarray.all's cost at this size
+        if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         amps = amps.copy()
         amps.setflags(write=False)
@@ -314,7 +312,7 @@ def evolve(amps: np.ndarray, step: WalkStep) -> None:
         amps[:, l] = c.dot(amps[:, l])
     if step.shift is not None:
         if size < 2:
-            raise ValueError("shift requires at least two positions")
+            raise WalkError("shift requires at least two positions")
         row = amps[step.shift.coin]
         row[...] = row[(np.arange(size) - step.shift.direction) % size]  # np.roll's gather
     if step.global_phase != 0.0:

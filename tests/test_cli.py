@@ -352,6 +352,23 @@ class TestRunSuites:
         results = cli.run_suites(["bv-exactness", "coin-unitarity", "bv-exactness"])
         assert [name for name, _, _ in results] == ["coin-unitarity", "bv-exactness"]
 
+    @pytest.mark.parametrize(
+        "perturb, message",
+        [
+            (5, "perturb must be a mapping, got int"),
+            ([("hwp", 0.1)], "perturb must be a mapping, got list"),
+            ("hwp=0.1", "perturb must be a mapping, got str"),
+            (0, "perturb must be a mapping, got int"),
+        ],
+        ids=["int", "pairs", "spec-string", "falsy-int"],
+    )
+    def test_a_perturbation_that_is_not_a_mapping_raises_a_one_line_cli_error(
+        self, perturb, message
+    ):
+        with pytest.raises(cli.CLIError) as info:
+            cli.run_suites(["photonic-fidelity"], perturb)
+        assert str(info.value) == message
+
 
 class TestRunSuitesPerturb:
     """``run_suites`` rejects the perturbations that ``verify --perturb`` rejects, with

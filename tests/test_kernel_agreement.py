@@ -5,7 +5,7 @@ import pytest
 
 from photonwalk import photonic as ph
 from photonwalk import walk_core as wc
-from photonwalk.walk_core import Topology, WalkState, WalkStep
+from photonwalk.walk_core import Topology, WalkError, WalkState, WalkStep
 
 SHIFTS = (None, wc.s_plus(0), wc.s_plus(1), wc.s_minus(0), wc.s_minus(1))
 
@@ -82,16 +82,24 @@ class TestSizeOneTopology:
 
     def test_state_path_rejects_shift(self):
         state = WalkState.basis(self.topo, 0, 0)
-        with pytest.raises(ValueError, match="shift requires at least two positions"):
+        with pytest.raises(WalkError, match="^step 0: shift requires at least two positions$"):
             wc.run_program(state, [self.step])
-        with pytest.raises(ValueError, match="shift requires at least two positions"):
+        with pytest.raises(WalkError, match="^step 0: shift requires at least two positions$"):
             wc.run_program(state, [self.step])
 
     def test_operator_path_rejects_shift(self):
-        with pytest.raises(ValueError, match="shift requires at least two positions"):
+        with pytest.raises(WalkError, match="^step 0: shift requires at least two positions$"):
             wc.program_operator([self.step], self.topo)
-        with pytest.raises(ValueError, match="shift requires at least two positions"):
+        with pytest.raises(WalkError, match="^step 0: shift requires at least two positions$"):
             wc.program_operator([WalkStep(shift=self.step.shift)], self.topo)
+
+    def test_both_paths_name_the_step_whose_shift_is_rejected(self):
+        steps = [WalkStep(), self.step]
+        message = "^step 1: shift requires at least two positions$"
+        with pytest.raises(WalkError, match=message):
+            wc.run_program(WalkState.basis(self.topo, 0, 0), steps)
+        with pytest.raises(WalkError, match=message):
+            wc.program_operator(steps, self.topo)
 
     def test_coin_only_step_is_accepted(self):
         state = WalkState.basis(self.topo, 0, 0)
