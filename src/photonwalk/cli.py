@@ -14,9 +14,8 @@ import os
 import random
 import stat
 import sys
-from collections.abc import Mapping, Sequence
 from dataclasses import replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -394,8 +393,8 @@ def _select_suites(names: Optional[Sequence[str]], perturb: dict) -> list:
     for name in names or ():
         if not (isinstance(name, str) and name in dict(ALL_SUITES)):  # a list is unhashable
             raise CLIError(f"unknown suite {name!r}")
-    if not isinstance(perturb, Mapping):
-        raise CLIError(f"perturb must be a mapping, got {type(perturb).__name__}")
+    if not isinstance(perturb, dict):
+        raise CLIError(f"perturb must be a dict, got {type(perturb).__name__}")
     for key, value in perturb.items():
         if key != "hwp":
             raise CLIError(f"perturb: unknown key {key!r} (use hwp)")

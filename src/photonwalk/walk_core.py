@@ -171,6 +171,7 @@ class WalkStep:
     global_phase: float = 0.0
     tag: Optional[str] = None
     _key: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # Type names, not reprs: an array's repr spans lines.
@@ -212,12 +213,13 @@ class WalkStep:
         # Coins compare by bytes, so equal blocks built apart compare fast.
         content = tuple((l, c.dtype.str, c.tobytes()) for l, c in coins.items())
         object.__setattr__(self, "_key", (self.tag, self.shift, self.global_phase, content))
+        object.__setattr__(self, "_hash", hash(self._key))  # once, not per memo lookup
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WalkStep) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
 
 
 @dataclass(frozen=True, eq=False)

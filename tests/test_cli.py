@@ -355,14 +355,14 @@ class TestRunSuites:
     @pytest.mark.parametrize(
         "perturb, message",
         [
-            (5, "perturb must be a mapping, got int"),
-            ([("hwp", 0.1)], "perturb must be a mapping, got list"),
-            ("hwp=0.1", "perturb must be a mapping, got str"),
-            (0, "perturb must be a mapping, got int"),
+            (5, "perturb must be a dict, got int"),
+            ([("hwp", 0.1)], "perturb must be a dict, got list"),
+            ("hwp=0.1", "perturb must be a dict, got str"),
+            (0, "perturb must be a dict, got int"),
         ],
         ids=["int", "pairs", "spec-string", "falsy-int"],
     )
-    def test_a_perturbation_that_is_not_a_mapping_raises_a_one_line_cli_error(
+    def test_a_perturbation_that_is_not_a_dict_raises_a_one_line_cli_error(
         self, perturb, message
     ):
         with pytest.raises(cli.CLIError) as info:

@@ -336,6 +336,7 @@ def nan_phase_step():
     step, nan = WalkStep(), float("nan")
     object.__setattr__(step, "global_phase", nan)
     object.__setattr__(step, "_key", (None, None, nan, ()))
+    object.__setattr__(step, "_hash", hash(step._key))
     return step
 
 
