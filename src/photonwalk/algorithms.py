@@ -97,32 +97,25 @@ class BooleanFn:
         if self.n < 1:
             raise ValueError("need at least one input bit")
         try:
-            table = tuple(self.table)  # the same object for a tuple; an iterator is read once
+            table = tuple(self.table)  # an iterator is read once; an array yields its entries
         except TypeError:  # not iterable
             raise ValueError("truth table entries must be 0 or 1") from None
-        if set(map(type, table)) == {int}:
-            # One bytes() both checks the entries and becomes the oracle mask.
-            try:
+        try:
+            try:  # one pass checks int, bool and numpy-int entries and becomes the oracle mask
                 raw = bytes(table)  # ValueError for an int outside 0..255
-                if raw.translate(None, b"\x00\x01"):  # a byte other than 0 or 1
+            except TypeError:  # 0.5, "1" or [1]: compare the raw entries before int() coerces them
+                if not set(table) <= {0, 1}:  # TypeError for an unhashable entry
                     raise ValueError
-            except ValueError:
-                raise ValueError("truth table entries must be 0 or 1") from None
-        else:
-            # Check the raw entries before int(), so 0.5 or "1" is not coerced.
-            try:
-                bits = set(table) <= {0, 1}
-            except TypeError:  # an unhashable entry
-                bits = False
-            if not bits:
-                raise ValueError("truth table entries must be 0 or 1")
-            table = tuple(map(int, table))
-            raw = bytes(table)
+                raw = bytes(map(int, table))
+            if raw.translate(None, b"\x00\x01"):  # a byte other than 0 or 1
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ValueError("truth table entries must be 0 or 1") from None
         # Compare bit lengths first, so a huge n never builds 2**n.
         if len(table).bit_length() != self.n + 1 or len(table) != 2**self.n:
             want = 2**self.n if self.n < 64 else f"2**{self.n}"
             raise ValueError(f"truth table must have {want} entries, got {len(table)}")
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", tuple(raw))  # int entries, whatever kind came in
         # Read-only, True at each x with f(x) = 1; not a field, so outside eq, hash and repr.
         self.__dict__["_mask"] = np.frombuffer(raw, dtype=bool)
 

@@ -94,16 +94,13 @@ def _load_function(args) -> alg.BooleanFn:
                 return f
         raise CLIError(f"unknown catalogue function {args.function!r} (use i..viii)")
     if args.table is not None:
-        try:
+        try:  # a bad file, bad JSON (too deep, an over-long int, not UTF-8) or a bad table
             with open(args.table) as fh:
                 blob = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CLIError(f"table: {exc}") from exc
-        if not (isinstance(blob, dict) and "n" in blob and "table" in blob):
-            raise CLIError('table: expected a JSON object with keys "n" and "table"')
-        try:
+            if not (isinstance(blob, dict) and "n" in blob and "table" in blob):
+                raise ValueError('expected a JSON object with keys "n" and "table"')
             f = alg.BooleanFn(blob["n"], blob["table"])
-        except ValueError as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise CLIError(f"table: {exc}") from exc
         if f.n != 2:
             raise CLIError("walk schemes support 2-bit functions")
@@ -364,8 +361,6 @@ ALL_SUITES = (
     ("bv-exactness", _suite_bv_exactness),
     ("photonic-fidelity", _suite_photonic_fidelity),
 )
-
-SUITE_COUNT = len(ALL_SUITES)
 
 
 def _parse_perturb(spec: Optional[str]) -> dict:

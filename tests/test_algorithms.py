@@ -1,3 +1,4 @@
+import enum
 import itertools
 
 import numpy as np
@@ -45,6 +46,11 @@ class TestClassify:
         assert alg.classify_fn(alg.BooleanFn(2, (0, 0, 0, 1))) is alg.FnClass.NEITHER
 
 
+class Bit(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
 class TestBooleanFnEntries:
     @pytest.mark.parametrize(
         "table",
@@ -55,8 +61,9 @@ class TestBooleanFnEntries:
             ([1], 0, 1, 1),
             (np.array([1]), 0, 1, 1),
             (float("nan"), 0, 1, 1),
+            (1 + 0j, 0, 1, 1),  # equal to 1, but int() refuses it
         ],
-        ids=["fraction", "string", "string-entries", "list-entry", "array-entry", "nan"],
+        ids=["fraction", "string", "string-entries", "list-entry", "array-entry", "nan", "complex"],
     )
     def test_rejects_non_bit_entries(self, table):
         with pytest.raises(ValueError, match="entries must be 0 or 1"):
@@ -74,8 +81,9 @@ class TestBooleanFnEntries:
             (3, (0, 1, 0, 1), "8"),
             (1, (0, 1, 0, 1), "2"),
             (10**7, (0,), "2**10000000"),
+            (2, np.array([0, 1], np.int16), "4"),  # 2 entries, not 4 buffer bytes
         ],
-        ids=["short", "power-of-two", "long", "huge-n"],
+        ids=["short", "power-of-two", "long", "huge-n", "int16-array"],
     )
     def test_rejects_a_table_of_the_wrong_length(self, n, table, want):
         with pytest.raises(ValueError) as info:
@@ -89,7 +97,8 @@ class TestBooleanFnEntries:
 
     def test_a_tuple_of_ints_is_stored_unchanged(self):
         table = (0, 1, 1, 0)
-        assert alg.BooleanFn(2, table).table is table
+        f = alg.BooleanFn(2, table)
+        assert f.table == table and all(type(b) is int for b in f.table)
 
     def test_a_list_is_stored_as_a_tuple(self):
         f = alg.BooleanFn(2, [0, 1, 1, 0])
@@ -97,8 +106,14 @@ class TestBooleanFnEntries:
 
     @pytest.mark.parametrize(
         "entry",
-        [0, 1, 2, 256, -1, True, np.int64(1), 1.0, "1", [1], float("nan")],
-        ids=["0", "1", "2", "256", "-1", "True", "int64", "float", "str", "list", "nan"],
+        [
+            0, 1, 2, 256, -1, 2**70, True, np.int64(1), np.uint8(1), np.bool_(True),
+            Bit.ONE, 1.0, "1", [1], float("nan"),
+        ],
+        ids=[
+            "0", "1", "2", "256", "-1", "2**70", "True", "int64", "uint8", "np-bool",
+            "int-enum", "float", "str", "list", "nan",
+        ],
     )
     @pytest.mark.parametrize("alone", [False, True], ids=["mixed", "alone"])
     def test_every_entry_kind_is_checked_as_by_the_set_check(self, entry, alone):
@@ -111,12 +126,28 @@ class TestBooleanFnEntries:
             return
         f = alg.BooleanFn(2, table)
         assert f.table == want and list(map(type, f.table)) == list(map(type, want))
-        assert (f.table is table) == (want is table)
+        assert all(type(b) is int for b in f.table)
         assert f == alg.BooleanFn(2, want) and hash(f) == hash(alg.BooleanFn(2, want))
         assert repr(f) == f"BooleanFn(n=2, table={want!r})"
         mask = f._mask
         assert mask.dtype == bool and not mask.flags.writeable
         assert mask.tolist() == np.frombuffer(bytes(f.table), bool).tolist()
+
+    @pytest.mark.parametrize(
+        "table",
+        [b"\x00\x01\x01\x00", bytearray(b"\x00\x01\x01\x00"), np.array([0, 1, 1, 0], np.int16)],
+        ids=["bytes", "bytearray", "int16-array"],
+    )
+    def test_every_table_kind_is_read_entry_by_entry(self, table):
+        want = set_check(table)
+        assert want == (0, 1, 1, 0)  # an int16 array's entries, not its 8 buffer bytes
+        f = alg.BooleanFn(2, table)
+        assert f.table == want and all(type(b) is int for b in f.table)
+        assert f._mask.tolist() == [False, True, True, False]
+
+    def test_a_0d_int_array_entry_is_read_as_its_scalar(self):
+        f = alg.BooleanFn(2, (np.array(1), 0, 1, 1))
+        assert f.table == (1, 0, 1, 1) and all(type(b) is int for b in f.table)
 
     @pytest.mark.parametrize("table", [5, None], ids=["int", "none"])
     def test_rejects_a_table_that_is_not_iterable(self, table):

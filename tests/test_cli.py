@@ -173,6 +173,25 @@ class TestDJ:
         assert out == ""
         assert err.startswith("error: table: ") and "No such file" in err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"[" * 200_000,  # RecursionError
+            b'{"n": ' + b"9" * 5000 + b', "table": [0, 1, 1, 0]}',  # over the int string limit
+            b"\xff\xfe{bad",  # UnicodeDecodeError
+        ],
+        ids=["too-deep", "long-int", "not-utf8"],
+    )
+    def test_malformed_table_file_exit_1(self, capsys, tmp_path, content):
+        table, output = tmp_path / "t.json", tmp_path / "out.txt"
+        table.write_bytes(content)
+        code, out, err = run(capsys, "dj", "--table", str(table), "--output", str(output))
+        assert code == 1
+        assert out == ""
+        # The text after the prefix is CPython's and may differ between versions.
+        assert err.startswith("error: table: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert not output.exists()
+
 
 class TestBV:
     def test_recovers(self, capsys):
@@ -201,7 +220,7 @@ class TestVerify:
         code, out, _ = run(capsys, "verify")
         assert code == 0
         lines = [l for l in out.strip().splitlines()]
-        assert len(lines) == cli.SUITE_COUNT
+        assert len(lines) == len(cli.ALL_SUITES)
         assert all(l.endswith("pass") for l in lines)
 
     def test_suite_filter(self, capsys):
@@ -307,7 +326,7 @@ class TestVerify:
             "bv-exactness",
             "photonic-fidelity",
         }
-        assert cli.SUITE_COUNT == 8
+        assert len(cli.ALL_SUITES) == 8
 
 
 class TestRunSuites:
