@@ -47,7 +47,6 @@ class TestClassify:
 
 
 class Bit(enum.IntEnum):
-    ZERO = 0
     ONE = 1
 
 
