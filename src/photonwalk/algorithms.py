@@ -89,19 +89,19 @@ class BooleanFn:
     """Truth table of f: {0,1}^n -> {0,1}; x1 is the most significant bit."""
 
     n: int
-    table: tuple
+    table: bytes
 
     def __post_init__(self) -> None:
         if isinstance(self.n, bool) or not isinstance(self.n, int):
             raise ValueError(f"n must be an int, got {self.n!r}")
         if self.n < 1:
             raise ValueError("need at least one input bit")
-        try:
-            table = tuple(self.table)  # an iterator is read once; an array yields its entries
+        try:  # bytes are read as they are; an iterator is read once; an array yields its entries
+            table = self.table if isinstance(self.table, bytes) else tuple(self.table)
         except TypeError:  # not iterable
             raise ValueError("truth table entries must be 0 or 1") from None
         try:
-            try:  # one pass checks int, bool and numpy-int entries and becomes the oracle mask
+            try:  # one pass checks int, bool and numpy-int entries and becomes the table
                 raw = bytes(table)  # ValueError for an int outside 0..255
             except TypeError:  # 0.5, "1" or [1]: compare the raw entries before int() coerces them
                 if not set(table) <= {0, 1}:  # TypeError for an unhashable entry
@@ -112,21 +112,10 @@ class BooleanFn:
         except (TypeError, ValueError):
             raise ValueError("truth table entries must be 0 or 1") from None
         # Compare bit lengths first, so a huge n never builds 2**n.
-        if len(table).bit_length() != self.n + 1 or len(table) != 2**self.n:
+        if len(raw).bit_length() != self.n + 1 or len(raw) != 2**self.n:
             want = 2**self.n if self.n < 64 else f"2**{self.n}"
-            raise ValueError(f"truth table must have {want} entries, got {len(table)}")
-        object.__setattr__(self, "table", tuple(raw))  # int entries, whatever kind came in
-        # Read-only, True at each x with f(x) = 1; not a field, so outside eq, hash and repr.
-        self.__dict__["_mask"] = np.frombuffer(raw, dtype=bool)
-
-    @classmethod
-    def _from_bits(cls, n: int, bits: np.ndarray) -> BooleanFn:
-        """Trusted path for 2**n uint8 zeros and ones that numpy built: the entries
-        are not checked again, and ``bits`` becomes the read-only mask."""
-        bits.setflags(write=False)
-        f = object.__new__(cls)
-        f.__dict__.update(n=n, table=tuple(bits.tolist()), _mask=bits.view(bool))
-        return f
+            raise ValueError(f"truth table must have {want} entries, got {len(raw)}")
+        object.__setattr__(self, "table", raw)  # f(x) is table[x], an int, whatever kind came in
 
     def value(self, x: int) -> int:
         if not (_is_int(x) and 0 <= x < len(self.table)):  # -1 would index from the end
@@ -174,7 +163,7 @@ def hidden_string_fn(s: str) -> BooleanFn:
     x = np.arange(2 ** len(s), dtype=np.uint32) & int(s, 2)
     for shift in (16, 8, 4, 2, 1):
         x ^= x >> shift
-    return BooleanFn._from_bits(len(s), (x & 1).astype(np.uint8))
+    return BooleanFn(len(s), (x & 1).astype(np.uint8).tobytes())
 
 
 # Hidden string -> catalogue name of the matching dot-product function.
@@ -531,12 +520,12 @@ def brute_force_reference(scheme: str, f: BooleanFn) -> np.ndarray:
             f"brute-force reference supports n <= {REFERENCE_MAX_N}, got n = {n}"
         )
     if scheme == NO_AUX:
-        vec = np.where(f._mask, -1.0, 1.0)  # H^n|0...0>, then the phase oracle
+        vec = np.where(np.frombuffer(f.table, bool), -1.0, 1.0)  # H^n|0...0> and the phase oracle
         scale = 2.0**-n
     elif scheme == WITH_AUX:
         # H^(n+1)|0...0>|1>, then |x>|y> -> |x>|y xor f(x)>: the aux pair of every
         # x with f(x) = 1 swapped.
-        vec = _AUX_PAIRS.take(f._mask, axis=0).ravel()
+        vec = _AUX_PAIRS.take(np.frombuffer(f.table, bool), axis=0).ravel()
         scale = 2 ** (-(2 * n + 1) / 2)
     else:
         raise ValueError(f"unknown scheme: {scheme!r}")

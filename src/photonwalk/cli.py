@@ -97,7 +97,7 @@ def _load_function(args) -> alg.BooleanFn:
         try:  # a bad file, bad JSON (too deep, an over-long int, not UTF-8) or a bad table
             with open(args.table) as fh:
                 blob = json.load(fh)
-            if not (isinstance(blob, dict) and "n" in blob and "table" in blob):
+            if not (isinstance(blob, dict) and blob.keys() == {"n", "table"}):
                 raise ValueError('expected a JSON object with keys "n" and "table"')
             f = alg.BooleanFn(blob["n"], blob["table"])
         except (OSError, ValueError, RecursionError) as exc:
@@ -290,7 +290,7 @@ def _suite_dj_determinism(perturb):
     for n in range(3, 7):
         # Ten balanced tables: each row's rank order is a uniform permutation.
         for bits in (np.argsort(_uniforms(rng, 10, 2**n), axis=1) < 2 ** (n - 1)).astype("u1"):
-            f = alg.BooleanFn._from_bits(n, bits)  # numpy-built 0/1 bits: the trusted path
+            f = alg.BooleanFn(n, bits.tobytes())
             for scheme in alg.SCHEMES:
                 _check(alg.brute_force_p_all_zero(scheme, f) <= wc.MATCH_TOL)
 

@@ -78,8 +78,11 @@ class TestDJ:
 
     @pytest.mark.parametrize(
         "blob",
-        [{"n": 2}, {"table": [0, 1, 1, 0]}, [1, 2], "0110", None],
-        ids=["no-table", "no-n", "array", "string", "null"],
+        [
+            {"n": 2}, {"table": [0, 1, 1, 0]}, [1, 2], "0110", None,
+            {"n": 2, "table": [0, 1, 1, 0], "scheme": "no-aux"},
+        ],
+        ids=["no-table", "no-n", "array", "string", "null", "extra-key"],
     )
     def test_table_that_is_not_an_object_with_both_keys_exit_1(self, capsys, tmp_path, blob):
         table = tmp_path / "t.json"

@@ -70,7 +70,7 @@ def test_p_all_zero_matches_the_closed_form(n):
     rng.shuffle(half)
     fns.append(alg.BooleanFn(n, tuple(half)))
     for f in fns:
-        want = closed_form_p_all_zero(f.table)
+        want = closed_form_p_all_zero(list(f.table))
         for scheme in alg.SCHEMES:
             assert abs(alg.brute_force_p_all_zero(scheme, f) - want) <= 1e-12
 
@@ -105,7 +105,7 @@ def test_hidden_string_tables_are_the_parity_of_x_and_s():
         parity = (bits @ bits.T) % 2  # parity[s, x] = x . s mod 2
         for si in range(2**n):
             s = format(si, f"0{n}b")
-            assert alg.hidden_string_fn(s).table == tuple(parity[si].tolist()), s
+            assert alg.hidden_string_fn(s).table == bytes(parity[si].tolist()), s
 
 
 def test_reference_runs_past_the_old_cap():

@@ -7,7 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from photonwalk import algorithms as alg
@@ -49,20 +48,20 @@ def test_verify_never_imports_numpy_random():
     assert json.loads(proc.stdout) == want
 
 
-def test_the_determinism_tables_take_the_trusted_path_to_the_same_function(monkeypatch):
-    from_bits = alg.BooleanFn._from_bits
+def test_the_determinism_tables_go_through_the_checked_constructor(monkeypatch):
+    post_init = alg.BooleanFn.__post_init__
     seen = []
 
-    def recording(n, bits):
-        f = from_bits(n, bits)
-        seen.append((n, bits.tolist(), f))
-        return f
+    def recording(f):
+        raw = f.table
+        post_init(f)
+        seen.append((f.n, raw, f))
 
-    monkeypatch.setattr(alg.BooleanFn, "_from_bits", recording)
+    monkeypatch.setattr(alg.BooleanFn, "__post_init__", recording)
     cli._suite_dj_determinism({})
+    monkeypatch.undo()
     assert [n for n, _, _ in seen] == [n for n in range(3, 7) for _ in range(10)]
-    for n, row, f in seen:
-        want = alg.BooleanFn(n, row)
-        assert f == want and type(f.table) is tuple
-        assert f._mask.dtype == want._mask.dtype == np.bool_
-        assert f._mask.tobytes() == want._mask.tobytes()
+    for n, raw, f in seen:
+        want = alg.BooleanFn(n, list(raw))
+        assert f == want and hash(f) == hash(want) and type(f.table) is bytes
+        assert sum(f.table) == 2 ** (n - 1)  # balanced
