@@ -124,7 +124,7 @@ class BooleanFn:
 
 
 def classify_fn(f: BooleanFn) -> FnClass:
-    ones = sum(f.table)
+    ones = f.table.count(1)
     if ones in (0, len(f.table)):
         return FnClass.CONSTANT
     if 2 * ones == len(f.table):
@@ -146,6 +146,7 @@ _CATALOGUE = (
     ("vii", _fn_from_rule(lambda x1, x2: x1 ^ x2)),
     ("viii", _fn_from_rule(lambda x1, x2: 1 - (x1 ^ x2))),
 )
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # f(x) -> 1 - f(x), one byte per entry
 
 
 def two_bit_catalogue() -> list:
@@ -157,13 +158,13 @@ def hidden_string_fn(s: str) -> BooleanFn:
     """The dot-product function f(x) = x . s for a hidden bit string."""
     if not isinstance(s, str) or not s or any(ch not in "01" for ch in s):
         raise ValueError(f"hidden string must be nonempty bits, got {s!r}")
-    if len(s) > 32:  # the width of the uint32 fold; 2^33 entries would be 32 GiB
+    if len(s) > 32:  # 33 bits would be a table of 2^33 bytes, 8 GiB
         raise ValueError(f"hidden string must have at most 32 bits, got {len(s)}")
-    # Parity of x & s by folding its 32 bits in half five times; x1 is the most significant.
-    x = np.arange(2 ** len(s), dtype=np.uint32) & int(s, 2)
-    for shift in (16, 8, 4, 2, 1):
-        x ^= x >> shift
-    return BooleanFn(len(s), (x & 1).astype(np.uint8).tobytes())
+    # Parity of x & s, doubled from the last bit of s: setting a bit of x that s has flips it.
+    table = b"\x00"
+    for bit in reversed(s):
+        table += table.translate(_FLIP) if bit == "1" else table
+    return BooleanFn(len(s), table)
 
 
 # Hidden string -> catalogue name of the matching dot-product function.
@@ -468,15 +469,16 @@ REFERENCE_MAX_N = 20
 
 
 # At most 2^19 multiply-adds per BLAS call: OpenBLAS 0.3.31 runs larger products
-# on its thread pool, which took 16-32 ms a call on a 2-vCPU VM.
-HADAMARD_CHUNK_QUBITS = 7
+# on its thread pool, which took 16-32 ms a call on a 2-vCPU VM.  6-qubit chunks
+# keep n <= 6 one product; README gives the n-curve they were chosen from.
+HADAMARD_CHUNK_QUBITS = 6
 HADAMARD_CALL_MADDS = 2**19
 
 
-@functools.lru_cache(maxsize=HADAMARD_CHUNK_QUBITS)  # chunks of 1..7 qubits
-def _sylvester(qubits: int) -> np.ndarray:
-    """Read-only +-1 Sylvester-Hadamard matrix of order 2**qubits."""
-    s = functools.reduce(np.kron, [[[1.0, 1.0], [1.0, -1.0]]] * qubits, np.ones((1, 1)))
+@functools.lru_cache(maxsize=3 * HADAMARD_CHUNK_QUBITS)  # (c,) left; (c, 1), (c, 2) right
+def _sylvester(qubits: int, rest: int = 1) -> np.ndarray:
+    """Read-only +-1 Sylvester-Hadamard matrix of order 2**qubits, (x) I_rest."""
+    s = functools.reduce(np.kron, [[[1.0, 1.0], [1.0, -1.0]]] * qubits + [np.eye(rest)])
     s.setflags(write=False)
     return s
 
@@ -486,8 +488,9 @@ def _hadamard_all(vec: np.ndarray, qubits: int) -> None:
 
     Qubit 0 is the most significant factor of the flat index.  H^(a+b) = H^a (x)
     H^b: each near-equal chunk of at most ``HADAMARD_CHUNK_QUBITS`` qubits is one
-    +-1 Sylvester product on the real view, a slice of columns at a time.  With
-    no 2^(-1/2) factor, integer-valued input stays integer-valued and exact.
+    +-1 Sylvester product on the real view, a slice of columns at a time, and the
+    last of several is one by S (x) I_rest from the right, a slice of rows at a time.
+    With no 2^(-1/2) factor, integer-valued input stays integer-valued and exact.
     """
     t = vec.view(float)
     chunks = -(-qubits // HADAMARD_CHUNK_QUBITS)
@@ -495,6 +498,11 @@ def _hadamard_all(vec: np.ndarray, qubits: int) -> None:
     for i in range(chunks):
         c = (qubits - done) // (chunks - i)
         rest = t.size >> (done + c)
+        if 0 < i == chunks - 1:  # only the aux factor, and the complex view's, follows
+            order = rest << c
+            m = t.reshape(-1, min(2**done, HADAMARD_CALL_MADDS // order**2), order)
+            m[...] = m @ _sylvester(c, rest)
+            return
         width = min(rest, HADAMARD_CALL_MADDS >> 2 * c)  # columns per call
         s = t.reshape(2**done, 2**c, rest // width, width).swapaxes(1, 2)
         s[...] = _sylvester(c) @ s

@@ -11,6 +11,8 @@ from collections.abc import ItemsView, ValuesView
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from photonwalk import algorithms as alg
 
@@ -57,7 +59,7 @@ def doubled_parity_table(s: str) -> tuple:
 
 
 @pytest.mark.parametrize("scheme", alg.SCHEMES)
-@pytest.mark.parametrize("n", range(1, 17))  # three Hadamard chunks from n = 15 on
+@pytest.mark.parametrize("n", range(1, 17))  # two Hadamard chunks from n = 7 on, three from 13
 def test_the_reference_is_bit_identical_to_the_general_path(n, scheme):
     for table in tables(n):
         f = alg.BooleanFn(n, table)
@@ -103,6 +105,49 @@ def test_hidden_string_fn_is_the_checked_function_of_its_table(n):
         checked = alg.BooleanFn(n, table)
         assert f == checked and hash(f) == hash(checked)
         assert f.n == n and isinstance(f.n, int)
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_the_transform_of_a_unit_vector_is_its_hidden_string_table(n):
+    """H^n e_k has entry (-1)^(x . k): the last chunk's product from the right and
+    the doubled table, checked against each other entry for entry."""
+    rng = random.Random(700 + n)
+    for k in (0, 1, 2**n - 1, rng.getrandbits(n)):
+        table = alg.hidden_string_fn(format(k, f"0{n}b")).table
+        signs = 1.0 - 2.0 * np.frombuffer(table, np.uint8)
+        no_aux = np.zeros(2**n)
+        no_aux[k] = 1.0
+        alg._hadamard_all(no_aux, n)
+        assert np.array_equal(no_aux, signs)
+        with_aux = np.zeros(2 ** (n + 1))  # aux last, untouched: the S (x) I_2 product
+        with_aux[2 * k + 1] = 1.0
+        alg._hadamard_all(with_aux, n)
+        assert np.array_equal(with_aux[1::2], signs) and not with_aux[0::2].any()
+
+
+@given(st.text("01", min_size=1, max_size=20), st.lists(st.integers(0, 2**20 - 1), max_size=20))
+def test_hidden_string_tables_are_the_parity_of_x_and_s_at_sampled_x(s, xs):
+    table = alg.hidden_string_fn(s).table
+    for x in [0, 2 ** len(s) - 1, *(x % 2 ** len(s) for x in xs)]:
+        assert table[x] == bin(x & int(s, 2)).count("1") & 1
+
+
+@st.composite
+def tables_with_counted_ones(draw):
+    size = 2 ** draw(st.integers(1, 8))
+    ones = draw(st.sampled_from([0, size // 2, size]) | st.integers(0, size))
+    return draw(st.permutations([1] * ones + [0] * (size - ones)))
+
+
+@given(tables_with_counted_ones())
+def test_classify_fn_agrees_with_the_sum_of_the_table(table):
+    ones, size = sum(table), len(table)
+    want = (
+        alg.FnClass.CONSTANT if ones in (0, size)
+        else alg.FnClass.BALANCED if 2 * ones == size
+        else alg.FnClass.NEITHER
+    )
+    assert alg.classify_fn(alg.BooleanFn(size.bit_length() - 1, table)) is want
 
 
 @pytest.mark.parametrize("scheme", alg.SCHEMES)

@@ -164,17 +164,23 @@ def test_dense_hadamard_matches_the_butterflies(qubits, extra):
 
 
 def test_every_blas_product_is_small(monkeypatch):
-    """At most 7 qubits and 2^19 multiply-adds: larger products go to OpenBLAS's threads."""
-    products = []
+    """At most 6 qubits and 2^19 multiply-adds: larger products go to OpenBLAS's threads."""
+    products = []  # (qubits, side, rows, columns) of each product call
     sylvester = alg._sylvester
 
     class Recording:
-        def __init__(self, qubits):
-            self.m = sylvester(qubits)
+        __array_ufunc__ = None  # so an array @ Recording calls __rmatmul__
 
-        def __matmul__(self, other):
-            products.append((self.m.shape[0], other.shape[-1]))
+        def __init__(self, qubits, rest=1):
+            self.qubits, self.m = qubits, sylvester(qubits, rest)
+
+        def __matmul__(self, other):  # S @ columns
+            products.append((self.qubits, "left", *self.m.shape[:1], other.shape[-1]))
             return self.m @ other
+
+        def __rmatmul__(self, other):  # rows @ (S (x) I_rest)
+            products.append((self.qubits, "right", other.shape[-2], *self.m.shape[:1]))
+            return other @ self.m
 
     monkeypatch.setattr(alg, "_sylvester", Recording)
     rng = np.random.default_rng(3)
@@ -182,10 +188,18 @@ def test_every_blas_product_is_small(monkeypatch):
         f = alg.BooleanFn(n, tuple(rng.integers(0, 2, size=2**n).tolist()))
         for scheme in alg.SCHEMES:
             alg.brute_force_reference(scheme, f)
+    # n = 6 is one product from the left; n = 10 and 14 end in one from the right
+    # by S (x) I_2 (with-aux) and by S (no-aux).
+    assert [p for p in products if p[1] == "right"] == [
+        (5, "right", 32, 64), (5, "right", 32, 32), (5, "right", 128, 64), (5, "right", 512, 32)
+    ]
     vec = np.zeros(2**20, dtype=complex)
     alg._hadamard_all(vec, 20)
-    assert products and all(rows <= 128 and rows * rows * cols <= 2**19 for rows, cols in products)
-    assert products[-3:] == [(64, 128), (128, 32), (128, 2)]  # 20 qubits in 6 + 7 + 7
+    madds = [rows * cols * (2**q if side == "left" else cols) for q, side, rows, cols in products]
+    assert all(q <= 6 for q, *_ in products) and max(madds) <= 2**19
+    assert products[-4:] == [  # 20 qubits in 5 + 5 + 5 + 5, on the complex vector's real view
+        (5, "left", 32, 512), (5, "left", 32, 512), (5, "left", 32, 64), (5, "right", 128, 64)
+    ]
 
 
 def test_sylvester_matrices_are_read_only_hadamards():
