@@ -475,8 +475,8 @@ HADAMARD_CHUNK_QUBITS = 6
 HADAMARD_CALL_MADDS = 2**19
 
 
-@functools.lru_cache(maxsize=3 * HADAMARD_CHUNK_QUBITS)  # (c,) left; (c, 1), (c, 2) right
-def _sylvester(qubits: int, rest: int = 1) -> np.ndarray:
+@functools.lru_cache(maxsize=2 * HADAMARD_CHUNK_QUBITS)  # rest 1, or 2 for the aux
+def _sylvester(qubits: int, rest: int) -> np.ndarray:
     """Read-only +-1 Sylvester-Hadamard matrix of order 2**qubits, (x) I_rest."""
     s = functools.reduce(np.kron, [[[1.0, 1.0], [1.0, -1.0]]] * qubits + [np.eye(rest)])
     s.setflags(write=False)
@@ -505,7 +505,7 @@ def _hadamard_all(vec: np.ndarray, qubits: int) -> None:
             return
         width = min(rest, HADAMARD_CALL_MADDS >> 2 * c)  # columns per call
         s = t.reshape(2**done, 2**c, rest // width, width).swapaxes(1, 2)
-        s[...] = _sylvester(c) @ s
+        s[...] = _sylvester(c, 1) @ s
         done += c
 
 

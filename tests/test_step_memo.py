@@ -171,15 +171,15 @@ def test_every_blas_product_is_small(monkeypatch):
     class Recording:
         __array_ufunc__ = None  # so an array @ Recording calls __rmatmul__
 
-        def __init__(self, qubits, rest=1):
+        def __init__(self, qubits, rest):
             self.qubits, self.m = qubits, sylvester(qubits, rest)
 
         def __matmul__(self, other):  # S @ columns
-            products.append((self.qubits, "left", *self.m.shape[:1], other.shape[-1]))
+            products.append((self.qubits, "left", self.m.shape[0], other.shape[-1]))
             return self.m @ other
 
         def __rmatmul__(self, other):  # rows @ (S (x) I_rest)
-            products.append((self.qubits, "right", other.shape[-2], *self.m.shape[:1]))
+            products.append((self.qubits, "right", other.shape[-2], self.m.shape[0]))
             return other @ self.m
 
     monkeypatch.setattr(alg, "_sylvester", Recording)
@@ -203,8 +203,9 @@ def test_every_blas_product_is_small(monkeypatch):
 
 
 def test_sylvester_matrices_are_read_only_hadamards():
-    s = alg._sylvester(3)
-    assert s is alg._sylvester(3)
+    s = alg._sylvester(3, 1)
+    assert s is alg._sylvester(3, 1)
     np.testing.assert_array_equal(s @ s, 8 * np.eye(8))
     with pytest.raises(ValueError):
         s[0, 0] = 0.0
+    np.testing.assert_array_equal(alg._sylvester(3, 2), np.kron(s, np.eye(2)))  # S (x) I_2
