@@ -133,7 +133,7 @@ class PhotonicCircuit:
     def __post_init__(self) -> None:
         if not (_is_int(self.n_modes) and self.n_modes >= 1):  # the rule of Topology.size
             raise ValueError(f"mode count must be a positive int, got {self.n_modes!r}")
-        object.__setattr__(self, "n_modes", int(self.n_modes))  # np.int64 -> int, for JSON
+        object.__setattr__(self, "n_modes", int(self.n_modes))  # an int, so 2 * n_modes cannot wrap
         if not (self.readout is None or isinstance(self.readout, dict)):
             raise ValueError(f"readout must be None or a dict, got {type(self.readout).__name__}")
         object.__setattr__(self, "stages", _checked_stages(self.n_modes, self.stages))
@@ -386,26 +386,3 @@ def report_to_csv(rows: Sequence[dict]) -> str:
     for row in rows:
         lines.append(",".join(str(row[col]) for col in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
-
-
-def _json_value(value):
-    """A component field as json.dumps takes it: a numpy scalar (PhotonicCircuit
-    accepts numpy-int modes) as its Python value, a permutation as a list."""
-    if isinstance(value, tuple):  # a permutation
-        return [_json_value(v) for v in value]
-    return value.item() if isinstance(value, np.generic) else value
-
-
-def _component_to_json(comp: Component) -> dict:
-    # ``kind`` first, then the fields in order
-    return {"kind": comp.kind, **{k: _json_value(v) for k, v in asdict(comp).items()}}
-
-
-def circuit_to_json(circuit: PhotonicCircuit) -> dict:
-    return {
-        "n_modes": circuit.n_modes,
-        "stages": [
-            [_component_to_json(c) for c in stage] for stage in circuit.stages
-        ],
-        "readout": circuit.readout,
-    }

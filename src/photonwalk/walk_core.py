@@ -222,14 +222,14 @@ class WalkStep:
         return self._hash
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WalkState:
     """Amplitude vector over coin x position, coin-major flat index.
 
     The constructor checks the length (``2 * size``) and that every amplitude
     is finite, and stores a read-only complex copy; it does not check or fix
-    the norm, which ``norm()`` measures once.  A state compares and hashes by
-    its topology and its amplitudes' bytes.
+    the norm, which ``norm()`` measures once.  A state is not hashable, and ``==``
+    raises on one topology: compare topologies, then ``np.array_equal`` amplitudes.
     """
 
     topology: Topology
@@ -279,15 +279,6 @@ class WalkState:
         if self._measured is None:  # a zero state keeps its 0.0
             object.__setattr__(self, "_measured", _norm(self.amplitudes))
         return self._measured
-
-    def _content(self) -> tuple:
-        return self.topology, self.amplitudes.dtype.str, self.amplitudes.tobytes()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WalkState) and self._content() == other._content()
-
-    def __hash__(self) -> int:
-        return hash(self._content())
 
 
 def _norm(v: np.ndarray) -> float:

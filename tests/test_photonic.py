@@ -1,4 +1,3 @@
-import json
 import sys
 
 import numpy as np
@@ -300,37 +299,13 @@ class TestResourceReport:
         assert str(info.value) == f"function 'a': {f!r} is not a BooleanFn"
 
 
-class TestCircuitJSON:
-    def test_shape(self):
-        f = dict(alg.two_bit_catalogue())["vii"]
-        circuit = ph.compile(alg.build_dj_program(f, alg.NO_AUX), alg.NO_AUX)
-        blob = ph.circuit_to_json(circuit)
-        assert blob["n_modes"] == 2
-        kinds = {c["kind"] for stage in blob["stages"] for c in stage}
-        assert kinds <= {"hwp", "bs", "phase_shifter", "pbs", "mode_permuter"}
-        for stage in blob["stages"]:
-            for comp in stage:
-                if comp["kind"] == "hwp":
-                    assert isinstance(comp["angle"], float)
-
-    def test_numpy_int_modes_are_written_as_ints(self):
-        def circuit(i):
-            return ph.PhotonicCircuit(3, [
-                (ph.HWP(0.3, i(1)), ph.BeamSplitter(i(0), i(2))),
-                (ph.ModePermuter((i(2), i(0), i(1))),),
-                (ph.PhaseShifter(0.1, i(2)), ph.PBS(i(0), i(1))),
-            ])
-
-        want = json.dumps(ph.circuit_to_json(circuit(int)))
-        for i in (np.int64, np.int32, np.uint8):
-            assert json.dumps(ph.circuit_to_json(circuit(i))) == want, i
-
-    def test_numpy_int_mode_count_is_stored_as_an_int(self):
-        circuit = ph.PhotonicCircuit(np.int64(2), [(ph.HWP(0.3, 1),)])
-        assert type(circuit.n_modes) is int and circuit.n_modes == 2
-        assert json.loads(json.dumps(ph.circuit_to_json(circuit)))["n_modes"] == 2
-        want = fold_components(2, [ph.HWP(0.3, 1)])
-        np.testing.assert_array_equal(ph.circuit_operator(circuit), want)
+def test_numpy_int_mode_count_is_stored_as_an_int():
+    circuit = ph.PhotonicCircuit(np.int64(2), [(ph.HWP(0.3, 1),)])
+    assert type(circuit.n_modes) is int and circuit.n_modes == 2
+    want = fold_components(2, [ph.HWP(0.3, 1)])
+    np.testing.assert_array_equal(ph.circuit_operator(circuit), want)
+    # 2 * np.uint8(128) would wrap to 0 and give an empty operator
+    assert ph.circuit_operator(ph.PhotonicCircuit(np.uint8(128), [])).shape == (256, 256)
 
 
 @pytest.mark.parametrize("n_modes", [-1, 0, 2.0, True, "2", None])
@@ -390,7 +365,6 @@ def test_finite_real_angles_and_phases_are_accepted():
     circuit = ph.PhotonicCircuit(2, stages)
     m = ph.circuit_operator(circuit)
     assert np.max(np.abs(m.conj().T @ m - np.eye(4))) <= wc.MATCH_TOL
-    json.dumps(ph.circuit_to_json(circuit), allow_nan=False)
 
 
 def any_component(n_modes):
@@ -445,4 +419,3 @@ def test_compile_assembles_the_circuit_the_checking_constructor_builds(f, scheme
     c = ph.compile(alg.build_dj_program(f, scheme), scheme, algorithm)
     checked = ph.PhotonicCircuit(c.n_modes, c.stages, c.readout)
     assert c == checked
-    assert ph.circuit_to_json(c) == ph.circuit_to_json(checked)

@@ -91,9 +91,7 @@ def test_list_permutation_still_runs():
     assert hash(permuter) == hash(ph.ModePermuter((2, 0, 1)))
     circuit = ph.PhotonicCircuit(3, [[permuter], [ph.HWP(0.2, 0)]])
     assert_paths_agree(circuit, random_state(np.random.default_rng(5), 6))
-    assert ph.circuit_to_json(circuit)["stages"][0] == [
-        {"kind": "mode_permuter", "permutation": [2, 0, 1]}
-    ]
+    assert circuit.stages[0] == (ph.ModePermuter((2, 0, 1)),)
 
 
 def loop_lowering(coin, mode):

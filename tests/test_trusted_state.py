@@ -166,20 +166,18 @@ def test_a_state_without_a_carried_norm_measures_it_once(build, start, norm_call
     assert (first == 0.0) == (start == "zero")
 
 
-# --- a state is a value
+# --- states compare only through their parts
 
 
-def test_states_compare_and_hash_by_topology_and_amplitude_bytes():
+def test_two_states_on_one_topology_do_not_compare_and_no_state_hashes():
     state = wc.WalkState.basis(alg.CYCLE4, 1, 2)
     twin = wc.WalkState(alg.CYCLE4, np.eye(8)[6])
     assert vars(state).keys() == {"topology", "amplitudes"}  # nothing computed when built
-    assert state == twin and hash(state) == hash(twin) and len({state, twin}) == 1
-    twin.norm()
-    assert state == twin and hash(state) == hash(twin)  # a measured norm is not compared
-    assert state != wc.WalkState.basis(alg.CYCLE4, 1, 3)
+    # numpy's error, never a silent answer: before 3.13 ``==`` raises it, and from
+    # 3.13 the dataclass ``==`` returns numpy's array, whose truth value raises it
+    with pytest.raises(ValueError, match="ambiguous"):
+        bool(state == twin)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(state)
     assert state != wc.WalkState(wc.Topology(wc.OPEN_LINE, 4), np.eye(8)[6])  # same dim
-    assert state != state.amplitudes and state != "state"
-    out = wc.run_program(state, [wc.WalkStep({2: alg.COIN_HADAMARD}, wc.s_plus(0))])
-    assert out == wc.WalkState(alg.CYCLE4, out.amplitudes)  # trusted equals public
-    assert hash(out) == hash(wc.WalkState(alg.CYCLE4, out.amplitudes))
-    assert {out: "x"}[wc.WalkState(alg.CYCLE4, out.amplitudes.copy())] == "x"
+    assert state != "state"
