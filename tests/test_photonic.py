@@ -116,6 +116,15 @@ class TestCompile:
         comps = [c for stage in circuit.stages for c in stage]
         assert comps == [ph.HWP(0.0, 0), ph.HWP(np.pi / 2, 1)]
 
+    def test_a_compiled_program_uses_only_the_five_optical_components(self):
+        f = dict(alg.two_bit_catalogue())["vii"]
+        circuit = ph.compile(alg.build_dj_program(f, alg.NO_AUX), alg.NO_AUX)
+        assert circuit.n_modes == 2
+        comps = [c for stage in circuit.stages for c in stage]
+        kinds = (ph.HWP, ph.BeamSplitter, ph.PhaseShifter, ph.PBS, ph.ModePermuter)
+        assert comps and all(isinstance(c, kinds) for c in comps)
+        assert all(isinstance(c.angle, float) for c in comps if isinstance(c, ph.HWP))
+
     def test_unsupported_coin(self):
         weird = wc.WalkStep({0: wc.build_coins([(0.1, 0.2, 0.3, 0.4)])[0]})
         with pytest.raises(ph.UnsupportedCoin):
@@ -306,6 +315,22 @@ def test_numpy_int_mode_count_is_stored_as_an_int():
     np.testing.assert_array_equal(ph.circuit_operator(circuit), want)
     # 2 * np.uint8(128) would wrap to 0 and give an empty operator
     assert ph.circuit_operator(ph.PhotonicCircuit(np.uint8(128), [])).shape == (256, 256)
+
+
+def test_numpy_int_modes_give_the_int_circuit():
+    def stages(i):
+        return [
+            (ph.HWP(0.3, i(1)), ph.BeamSplitter(i(0), i(2))),
+            (ph.ModePermuter((i(2), i(0), i(1))),),
+            (ph.PhaseShifter(0.1, i(2)), ph.PBS(i(0), i(1))),
+        ]
+
+    want = ph.PhotonicCircuit(3, stages(int))
+    folded = fold_components(3, [c for stage in want.stages for c in stage])
+    for i in (np.int64, np.int32, np.uint8):
+        circuit = ph.PhotonicCircuit(3, stages(i))
+        assert circuit == want, i
+        np.testing.assert_array_equal(ph.circuit_operator(circuit), folded)
 
 
 @pytest.mark.parametrize("n_modes", [-1, 0, 2.0, True, "2", None])
