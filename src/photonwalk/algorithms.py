@@ -475,7 +475,7 @@ HADAMARD_CHUNK_QUBITS = 6
 HADAMARD_CALL_MADDS = 2**19
 
 
-@functools.lru_cache(maxsize=2 * HADAMARD_CHUNK_QUBITS)  # rest 1, or 2 for the aux
+@functools.lru_cache(maxsize=2 * HADAMARD_CHUNK_QUBITS)  # rest 1, or 2 for a complex view
 def _sylvester(qubits: int, rest: int) -> np.ndarray:
     """Read-only +-1 Sylvester-Hadamard matrix of order 2**qubits, (x) I_rest."""
     s = functools.reduce(np.kron, [[[1.0, 1.0], [1.0, -1.0]]] * qubits + [np.eye(rest)])
@@ -489,7 +489,8 @@ def _hadamard_all(vec: np.ndarray, qubits: int) -> None:
     Qubit 0 is the most significant factor of the flat index.  H^(a+b) = H^a (x)
     H^b: each near-equal chunk of at most ``HADAMARD_CHUNK_QUBITS`` qubits is one
     +-1 Sylvester product on the real view, a slice of columns at a time, and the
-    last of several is one by S (x) I_rest from the right, a slice of rows at a time.
+    last of several is one by S (x) I_rest from the right, a slice of rows at a time
+    (rest is 1 for the reference's real vector of 2^qubits entries).
     With no 2^(-1/2) factor, integer-valued input stays integer-valued and exact.
     """
     t = vec.view(float)
@@ -498,7 +499,7 @@ def _hadamard_all(vec: np.ndarray, qubits: int) -> None:
     for i in range(chunks):
         c = (qubits - done) // (chunks - i)
         rest = t.size >> (done + c)
-        if 0 < i == chunks - 1:  # only the aux factor, and the complex view's, follows
+        if 0 < i == chunks - 1:  # only the trailing factors, such as a complex view's, follow
             order = rest << c
             m = t.reshape(-1, min(2**done, HADAMARD_CALL_MADDS // order**2), order)
             m[...] = m @ _sylvester(c, rest)
@@ -509,18 +510,28 @@ def _hadamard_all(vec: np.ndarray, qubits: int) -> None:
         done += c
 
 
-# The with-aux start, indexed by f(x): the unnormalised aux pair H|1> at |y xor f(x)>.
-_AUX_PAIRS = np.array([[1.0, -1.0], [-1.0, 1.0]])
-_AUX_PAIRS.setflags(write=False)
+@functools.lru_cache(maxsize=1)  # both schemes of one table, back to back
+def _phase_transform(f: BooleanFn) -> np.ndarray:
+    """Read-only unnormalised H^n of the phase vector (-1)^f(x), in exact integers.
+
+    H^n|0...0> is the uniform superposition and the no-aux oracle is the phase
+    (-1)^f(x); the with-aux aux is in |->, so its oracle kicks back the same phase.
+    """
+    core = np.where(np.frombuffer(f.table, bool), -1.0, 1.0)
+    _hadamard_all(core, f.n)
+    core.setflags(write=False)
+    return core
 
 
 def brute_force_reference(scheme: str, f: BooleanFn) -> np.ndarray:
     """Textbook dense-state execution, independent of all walk machinery.
 
     Returns the final state vector in the computational basis: |x1..xn>|aux>
-    for the with-aux scheme, |x1..xn> otherwise.  The first Hadamard layer is
-    the closed-form uniform superposition and the last one is unnormalised, so
-    the real amplitudes are exact integers until the one final scaling.
+    for the with-aux scheme, |x1..xn> otherwise.  Both read one memoised
+    transform of the phase vector (-1)^f(x): with the aux in |->, the standard
+    oracle only kicks back that phase, so the aux leaves as a spectator, +a at
+    |x>|0> and -a at |x>|1>.  The amplitudes are exact integers until the one
+    final scaling; the zeros stay +0.0.
     """
     n = f.n
     if n > REFERENCE_MAX_N:
@@ -528,18 +539,13 @@ def brute_force_reference(scheme: str, f: BooleanFn) -> np.ndarray:
             f"brute-force reference supports n <= {REFERENCE_MAX_N}, got n = {n}"
         )
     if scheme == NO_AUX:
-        vec = np.where(np.frombuffer(f.table, bool), -1.0, 1.0)  # H^n|0...0> and the phase oracle
-        scale = 2.0**-n
-    elif scheme == WITH_AUX:
-        # H^(n+1)|0...0>|1>, then |x>|y> -> |x>|y xor f(x)>: the aux pair of every
-        # x with f(x) = 1 swapped.
-        vec = _AUX_PAIRS.take(np.frombuffer(f.table, bool), axis=0).ravel()
-        scale = 2 ** (-(2 * n + 1) / 2)
-    else:
+        return (_phase_transform(f) * 2.0**-n).astype(complex)
+    if scheme != WITH_AUX:
         raise ValueError(f"unknown scheme: {scheme!r}")
-    _hadamard_all(vec, n)
-    vec *= scale
-    return vec.astype(complex)
+    vec = np.zeros(2 ** (n + 1), dtype=complex)
+    aux0 = np.multiply(_phase_transform(f), 2 ** (-(2 * n + 1) / 2), out=vec.real[0::2])
+    np.subtract(0.0, aux0, out=vec.real[1::2])  # 0.0 - 0.0 is +0.0, where negating gives -0.0
+    return vec
 
 
 def _reference_probabilities(scheme: str, f: BooleanFn) -> np.ndarray:
@@ -553,4 +559,6 @@ def _reference_probabilities(scheme: str, f: BooleanFn) -> np.ndarray:
 
 
 def brute_force_p_all_zero(scheme: str, f: BooleanFn) -> float:
-    return float(_reference_probabilities(scheme, f)[0])
+    """P(x = 0) from entry 0 of the reference's vector, and entry 1 (aux |1>) with-aux."""
+    amps = brute_force_reference(scheme, f)[:2].real ** 2
+    return float(amps[0] + amps[1] if scheme == WITH_AUX else amps[0])

@@ -183,16 +183,16 @@ def test_every_blas_product_is_small(monkeypatch):
             return other @ self.m
 
     monkeypatch.setattr(alg, "_sylvester", Recording)
+    alg._phase_transform.cache_clear()
     rng = np.random.default_rng(3)
     for n in (6, 10, 14):
         f = alg.BooleanFn(n, tuple(rng.integers(0, 2, size=2**n).tolist()))
         for scheme in alg.SCHEMES:
             alg.brute_force_reference(scheme, f)
-    # n = 6 is one product from the left; n = 10 and 14 end in one from the right
-    # by S (x) I_2 (with-aux) and by S (no-aux).
-    assert [p for p in products if p[1] == "right"] == [
-        (5, "right", 32, 64), (5, "right", 32, 32), (5, "right", 128, 64), (5, "right", 512, 32)
-    ]
+    # Both schemes read one transform of 2^n real entries per table: n = 6 is one
+    # product from the left; n = 10 and 14 end in one from the right by S.
+    assert [p for p in products if p[1] == "right"] == [(5, "right", 32, 32), (5, "right", 512, 32)]
+    assert [q for q, *_ in products] == [6, 5, 5, 4, 5, 5]
     vec = np.zeros(2**20, dtype=complex)
     alg._hadamard_all(vec, 20)
     madds = [rows * cols * (2**q if side == "left" else cols) for q, side, rows, cols in products]

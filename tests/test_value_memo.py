@@ -185,7 +185,8 @@ def test_every_lru_cache_in_the_library_is_bounded():
         for name, obj in vars(mod).items()
         if callable(getattr(obj, "cache_parameters", None))
     }
-    assert len(memos) == 5
+    assert len(memos) == 6
+    assert alg._phase_transform.cache_parameters()["maxsize"] == 1  # one table's transform
     unbounded = [
         name for name, memo in memos.values() if memo.cache_parameters()["maxsize"] is None
     ]
